@@ -32,9 +32,7 @@ from .ingest import (
 from .spatial import (
     ALPHAS,
     AlphaMatchResult,
-    PairAlignment,
     box_iou,
-    global_alignment,
     hota_at_alpha,
     hota_sweep,
     match_at_alpha,

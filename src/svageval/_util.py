@@ -4,14 +4,6 @@ from __future__ import annotations
 from decimal import ROUND_HALF_UP, Decimal
 
 
-def round_half_up(value: float, decimals: int) -> float:
-    """Round half away from zero at the given number of decimals, applied
-    to the binary float value (matches fixed-point presentation of
-    benchmark tables)."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(value).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
 def format_fixed(value: float, decimals: int) -> str:
     """Fixed-point string with half-away-from-zero rounding, e.g. 20.680."""
     quantum = Decimal(1).scaleb(-decimals)

@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 from .ingest import (
-    DatasetSplit,
     IngestError,
     compute_stats,
     load_ground_truth,
-    load_predictions,
+    load_split,
     validate_split,
 )
 from .model import ValidationError
@@ -115,30 +114,23 @@ def _dataset_names(arg: str) -> list[str]:
     return names
 
 
-def _load_splits(gt_root: str, pred_root: str | None, datasets: list[str]):
+def _load_and_validate(args):
+    """Every dataset's split, and the diagnostics of loading and validating
+    them, in that order."""
     splits = []
     diagnostics = []
-    for name in datasets:
-        bundle = load_ground_truth(gt_root, name)
-        predictions = []
-        if pred_root is not None:
-            predictions, pred_diags = load_predictions(pred_root, name)
-            diagnostics.extend(pred_diags)
-        splits.append(DatasetSplit(name=name, bundle=bundle,
-                                   predictions=predictions))
+    for name in _dataset_names(args.datasets):
+        split, load_diags = load_split(args.gt, args.pred, name)
+        splits.append(split)
+        diagnostics += load_diags + validate_split(split)
     return splits, diagnostics
 
 
 def cmd_evaluate(args) -> int:
-    datasets = _dataset_names(args.datasets)
-    splits, diagnostics = _load_splits(args.gt, args.pred, datasets)
+    splits, diagnostics = _load_and_validate(args)
+    for diag in diagnostics:
+        print(diag, file=sys.stderr)
     errors = [d for d in diagnostics if d.severity == "error"]
-    for split in splits:
-        for diag in validate_split(split):
-            diagnostics.append(diag)
-            if diag.severity == "error":
-                errors.append(diag)
-            print(diag, file=sys.stderr)
     if errors:
         print(f"{len(errors)} validation error(s); aborting", file=sys.stderr)
         return EXIT_VALIDATION
@@ -151,10 +143,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    datasets = _dataset_names(args.datasets)
-    splits, diagnostics = _load_splits(args.gt, args.pred, datasets)
-    for split in splits:
-        diagnostics.extend(validate_split(split))
+    _, diagnostics = _load_and_validate(args)
     for diag in diagnostics:
         print(diag, file=sys.stderr)
     return EXIT_OK if not diagnostics else EXIT_VALIDATION

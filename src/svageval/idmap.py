@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import PredictionSet, Query, ScoredSegment, TemporalSegment
-from .spatial import AlphaMatchResult
+from .spatial import MAPPING_ALPHA, AlphaMatchResult
 
 log = logging.getLogger(__name__)
-
-MAPPING_ALPHA = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -38,11 +35,16 @@ class IdMap:
     __hash__ = None
 
 
+def _rank_key(cand: ScoredSegment):
+    return (-cand.score, cand.segment.start, cand.segment.end)
+
+
 @dataclass(frozen=True)
 class TemporalPair:
     """The unit of temporal evaluation: one referent's ground-truth
     segments against the ranked scored segments of its mapped prediction
-    (empty when the referent is unmapped)."""
+    (empty when the referent is unmapped). The temporal metrics read
+    ``predictions`` in the order ranked here."""
 
     query_id: str
     gt_track_id: int
@@ -50,9 +52,7 @@ class TemporalPair:
     predictions: tuple[ScoredSegment, ...]
 
     def __post_init__(self):
-        ranked = tuple(sorted(
-            self.predictions,
-            key=lambda s: (-s.score, s.segment.start, s.segment.end)))
+        ranked = tuple(sorted(self.predictions, key=_rank_key))
         object.__setattr__(self, "predictions", ranked)
 
 

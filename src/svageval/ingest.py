@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._util import round_half_up
+from ._util import format_fixed
 from .model import (
     BoundingBox,
     Detection,
@@ -342,14 +342,22 @@ def load_predictions(pred_root, dataset: str
                     temporal_path, "$.video_id",
                     f"video_id {predset.video_id!r} does not match directory "
                     f"{video_dir.name!r}")
+            if predset.query_id != query_dir.name:
+                raise IngestError(
+                    temporal_path, "$.query_id",
+                    f"query_id {predset.query_id!r} does not match directory "
+                    f"{query_dir.name!r}")
             predictions.append(predset)
     return predictions, diagnostics
 
 
 def load_split(gt_root, pred_root, dataset: str
                ) -> tuple[DatasetSplit, list[Diagnostic]]:
+    """Ground truth plus predictions of one dataset, with the loader's
+    diagnostics. ``pred_root=None`` loads the ground truth alone."""
     bundle = load_ground_truth(gt_root, dataset)
-    predictions, diagnostics = load_predictions(pred_root, dataset)
+    predictions, diagnostics = (load_predictions(pred_root, dataset)
+                                if pred_root is not None else ([], []))
     return DatasetSplit(name=dataset, bundle=bundle,
                         predictions=predictions), diagnostics
 
@@ -386,11 +394,18 @@ def validate_split(split: DatasetSplit) -> list[Diagnostic]:
                                         f"referent {referent.gt_track_id} "
                                         f"extends past last annotated frame "
                                         f"{last}"))
+    seen: set[tuple[str, str]] = set()
     for predset in split.predictions:
-        if (predset.video_id, predset.query_id) not in known_queries:
+        key = (predset.video_id, predset.query_id)
+        location = f"{split.name}/{predset.video_id}/{predset.query_id}"
+        if key in seen:
             diagnostics.append(Diagnostic(
-                severity="error",
-                location=f"{split.name}/{predset.video_id}/{predset.query_id}",
+                severity="error", location=location,
+                message="duplicate prediction set for this query"))
+        seen.add(key)
+        if key not in known_queries:
+            diagnostics.append(Diagnostic(
+                severity="error", location=location,
                 message="orphan prediction: no such GT query"))
     return diagnostics
 
@@ -413,6 +428,6 @@ def compute_stats(bundle: GroundTruthBundle) -> dict:
         "videos": n_videos,
         "queries": n_queries,
         "tracks": n_tracks,
-        "queries_per_video": round_half_up(n_queries / n_videos, 2),
-        "tracks_per_video": round_half_up(n_tracks / n_videos, 2),
+        "queries_per_video": float(format_fixed(n_queries / n_videos, 2)),
+        "tracks_per_video": float(format_fixed(n_tracks / n_videos, 2)),
     }

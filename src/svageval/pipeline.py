@@ -12,12 +12,11 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .idmap import MAPPING_ALPHA, TemporalPair, build_id_map, build_temporal_pairs
+from .idmap import TemporalPair, build_id_map, build_temporal_pairs
 from .ingest import DatasetSplit, VideoGroundTruth
 from .model import HotaComponents, PredictionSet, Query
 from .report import DatasetReport, FinalReport, build_final_report
-from .spatial import hota_sweep, match_at_alpha, global_alignment, \
-    mean_components, restrict_track
+from .spatial import hota_sweep, mean_components, restrict_track
 from .temporal import evaluate_temporal
 
 log = logging.getLogger(__name__)
@@ -39,9 +38,7 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
             continue  # surfaced by validate_split
         gt_tracks.append(restrict_track(track, referent.gt_segments))
     pred_tracks = list(predset.tracks) if predset is not None else []
-    components = hota_sweep(gt_tracks, pred_tracks)
-    alignment = global_alignment(gt_tracks, pred_tracks, MAPPING_ALPHA)
-    match_05 = match_at_alpha(gt_tracks, pred_tracks, MAPPING_ALPHA, alignment)
+    components, match_05 = hota_sweep(gt_tracks, pred_tracks)
     id_map = build_id_map(match_05)
     pairs = build_temporal_pairs(id_map, [query], predset)
     return components, pairs

@@ -17,6 +17,9 @@ from .model import BoundingBox, HotaComponents, Track
 # Localization threshold sweep: 0.05 .. 0.95 in steps of 0.05.
 ALPHAS: tuple[Fraction, ...] = tuple(Fraction(k, 100) for k in range(5, 100, 5))
 
+# The threshold whose matching defines the identity map.
+MAPPING_ALPHA = Fraction(1, 2)
+
 # Weight of the per-frame IoU relative to the track alignment term in the
 # matching objective; keeps IoU strictly subordinate to alignment.
 IOU_EPSILON = Fraction(1, 10000)
@@ -41,20 +44,6 @@ def _iou_frac(a: BoundingBox, b: BoundingBox) -> Fraction:
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint."""
     return float(_iou_frac(a, b))
-
-
-@dataclass(frozen=True)
-class PairAlignment:
-    """Per-(gt, pred) track pair: |frames matched at alpha| / |frames where
-    either appears| (a Jaccard index over frames), at one threshold."""
-
-    alpha: Fraction
-    scores: dict[tuple[int, int], Fraction]
-
-    def get(self, gt_id: int, pred_id: int) -> Fraction:
-        return self.scores.get((gt_id, pred_id), _ZERO)
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -105,7 +94,10 @@ class _Scenario:
                         table[(gid, pid)] = value
             self.iou[frame] = table
 
-    def alignment(self, alpha: Fraction) -> PairAlignment:
+    def alignment(self, alpha: Fraction) -> dict[tuple[int, int], Fraction]:
+        """Per-(gt, pred) track pair reaching alpha in at least one frame:
+        |frames matched at alpha| / |frames where either appears| (a
+        Jaccard index over frames)."""
         matched: dict[tuple[int, int], int] = {}
         for frame in self.frames:
             for pair, value in self.iou[frame].items():
@@ -115,9 +107,10 @@ class _Scenario:
         for (gid, pid), count in matched.items():
             union = len(self.gt_frames[gid] | self.pred_frames[pid])
             scores[(gid, pid)] = Fraction(count, union)
-        return PairAlignment(alpha=alpha, scores=scores)
+        return scores
 
-    def match(self, alpha: Fraction, alignment: PairAlignment) -> AlphaMatchResult:
+    def match(self, alpha: Fraction) -> AlphaMatchResult:
+        alignment = self.alignment(alpha)
         frames = []
         for frame in self.frames:
             gids = sorted(self.gt_dets.get(frame, {}))
@@ -148,9 +141,10 @@ def _optimal_pairs(gids, pids, feasible, iou_table, alignment):
     Encoded as one exact max-weight assignment: a cardinality constant that
     dominates any objective difference, plus a tie term smaller than the
     smallest representable objective difference (all objectives are
-    multiples of 1/D for D = lcm of their denominators)."""
+    multiples of 1/D for D = lcm of their denominators). Every feasible
+    pair reaches the threshold in this frame, so it has an alignment."""
     objective = {
-        (g, p): alignment.get(g, p) + IOU_EPSILON * iou_table[(g, p)]
+        (g, p): alignment[(g, p)] + IOU_EPSILON * iou_table[(g, p)]
         for g, p in feasible
     }
     denom_lcm = 1
@@ -225,25 +219,16 @@ def _max_weight_assignment(weight):
     return cols
 
 
-def global_alignment(gt_tracks, pred_tracks, alpha) -> PairAlignment:
-    """Jaccard-over-frames alignment of every co-occurring track pair that
-    reaches the threshold in at least one frame."""
-    return _Scenario(gt_tracks, pred_tracks).alignment(_as_alpha(alpha))
-
-
-def match_at_alpha(gt_tracks, pred_tracks, alpha,
-                   alignment: PairAlignment) -> AlphaMatchResult:
+def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:
     """Per-frame optimal one-to-one matching at one threshold, guided by the
-    precomputed track alignment."""
-    alpha = _as_alpha(alpha)
-    if alignment.alpha != alpha:
-        raise ValueError(
-            f"alignment was computed at alpha={alignment.alpha}, not {alpha}")
-    return _Scenario(gt_tracks, pred_tracks).match(alpha, alignment)
+    track alignment at that threshold."""
+    return _Scenario(gt_tracks, pred_tracks).match(_as_alpha(alpha))
 
 
 def _as_alpha(alpha) -> Fraction:
-    value = Fraction(alpha)
+    # Through str, so that the float 0.05 means 1/20 and not the binary
+    # value just above it.
+    value = Fraction(str(alpha))
     if not 0 < value < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return value
@@ -317,10 +302,11 @@ def hota_at_alpha(match: AlphaMatchResult) -> HotaComponents:
     )
 
 
-def hota_sweep(gt_tracks, pred_tracks) -> HotaComponents:
-    """Each component averaged over the threshold sweep. The aggregate HOTA
-    is the mean of the per-threshold sqrt(DetA * AssA) values, not the sqrt
-    of the means."""
+def hota_sweep(gt_tracks, pred_tracks
+               ) -> tuple[HotaComponents, AlphaMatchResult]:
+    """Each component averaged over the threshold sweep, and the sweep's
+    matching at MAPPING_ALPHA. The aggregate HOTA is the mean of the
+    per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
     scenario = _Scenario(gt_tracks, pred_tracks)
     sums = {name: _ZERO for name in
             ("det_a", "det_re", "det_pr", "ass_a", "ass_re", "ass_pr",
@@ -328,8 +314,9 @@ def hota_sweep(gt_tracks, pred_tracks) -> HotaComponents:
     hota_values = []
     tp_sum = fn_sum = fp_sum = 0
     for alpha in ALPHAS:
-        alignment = scenario.alignment(alpha)
-        match = scenario.match(alpha, alignment)
+        match = scenario.match(alpha)
+        if alpha == MAPPING_ALPHA:
+            match_05 = match
         ratios, tp, fn, fp = _components_frac(match)
         for name in sums:
             sums[name] += ratios[name]
@@ -338,7 +325,7 @@ def hota_sweep(gt_tracks, pred_tracks) -> HotaComponents:
         fn_sum += fn
         fp_sum += fp
     count = len(ALPHAS)
-    return HotaComponents(
+    components = HotaComponents(
         hota=sum(hota_values) / count,
         det_a=float(sums["det_a"] / count),
         ass_a=float(sums["ass_a"] / count),
@@ -350,6 +337,7 @@ def hota_sweep(gt_tracks, pred_tracks) -> HotaComponents:
         tp=tp_sum / count, fn=fn_sum / count, fp=fp_sum / count,
         alpha_averaged=True,
     )
+    return components, match_05
 
 
 def restrict_track(track: Track, segments) -> Track:

@@ -2,14 +2,11 @@
 optional temporal non-maximum suppression."""
 from __future__ import annotations
 
-from .idmap import TemporalPair
+from .idmap import TemporalPair, _rank_key
 from .model import ScoredSegment, TemporalMetrics, TemporalSegment
 
 TAUS: tuple[float, ...] = (0.1, 0.3, 0.5)
 RECALL_KS: tuple[int, ...] = (1, 5, 10)
-
-def _rank_key(cand: ScoredSegment):
-    return (-cand.score, cand.segment.start, cand.segment.end)
 
 
 def temporal_iou(a: TemporalSegment, b: TemporalSegment) -> float:
@@ -47,8 +44,8 @@ def recall_at_k(pairs, k: int, tau: float) -> float:
         raise ValueError("no referents in scope")
     hits = 0
     for pair in pairs:
-        ranked = sorted(pair.predictions, key=_rank_key)[:k]
-        if any(_is_hit(c, pair.gt_segments, tau) for c in ranked):
+        if any(_is_hit(c, pair.gt_segments, tau)
+               for c in pair.predictions[:k]):
             hits += 1
     return hits / len(pairs)
 
@@ -57,11 +54,10 @@ def average_precision(pair: TemporalPair, tau: float) -> float:
     """Ranked-retrieval AP with greedy one-to-one claiming of ground-truth
     segments (highest-IoU unclaimed segment first). Reduces to
     1/rank-of-first-hit for a single ground-truth segment."""
-    ranked = sorted(pair.predictions, key=_rank_key)
     claimed: set[int] = set()
     hits = 0
     total = 0.0
-    for rank, cand in enumerate(ranked, start=1):
+    for rank, cand in enumerate(pair.predictions, start=1):
         best_idx = -1
         best_iou = 0.0
         for idx, seg in enumerate(pair.gt_segments):
@@ -94,9 +90,8 @@ def miou(pairs) -> float:
         raise ValueError("no referents in scope")
     total = 0.0
     for pair in pairs:
-        ranked = sorted(pair.predictions, key=_rank_key)
-        if ranked:
-            top = ranked[0]
+        if pair.predictions:
+            top = pair.predictions[0]
             total += max(temporal_iou(top.segment, g)
                          for g in pair.gt_segments)
     return total / len(pairs)

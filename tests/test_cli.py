@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -79,6 +80,32 @@ class TestEvaluate:
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_VALIDATION
         assert "unresolved referent" in capsys.readouterr().err
+
+    def test_relabelled_prediction_directory_exits_one(self, tmp_path,
+                                                       capsys):
+        data = _synth(tmp_path, id_switch_prob=0.2, box_jitter=1.5)
+        video = data / "pred" / "ovis" / "video0001"
+        copy = video / "zz_copy"
+        shutil.copytree(video / "q002", copy)
+        temporal = copy / "pred_temporal.json"
+        doc = json.loads(temporal.read_text())
+        doc["query_id"] = "q001"
+        temporal.write_text(json.dumps(doc))
+        code = main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_IO
+        assert "$.query_id" in capsys.readouterr().err
+
+    def test_loader_diagnostics_printed(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        (data / "pred" / "ovis" / "video0001" / "q009").mkdir()
+        code = main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_OK
+        assert ("incomplete prediction directory skipped"
+                in capsys.readouterr().err)
 
     def test_bad_nms_flag(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -16,14 +16,13 @@ from svageval.model import (
     ScoredSegment,
     TemporalSegment,
 )
-from svageval.spatial import global_alignment, match_at_alpha
+from svageval.spatial import match_at_alpha
 
 from conftest import constant_track, make_track
 
 
 def _match(gt, pred, alpha=MAPPING_ALPHA):
-    alignment = global_alignment(gt, pred, alpha)
-    return match_at_alpha(gt, pred, alpha, alignment)
+    return match_at_alpha(gt, pred, alpha)
 
 
 class TestBuildIdMap:

@@ -194,6 +194,13 @@ class TestValidateSplit:
         diags = validate_split(split)
         assert any("orphan prediction" in d.message for d in diags)
 
+    def test_duplicate_prediction_set(self):
+        split = _toy_split()
+        split.predictions.append(split.predictions[0])
+        diags = validate_split(split)
+        assert any(d.severity == "error" and "duplicate" in d.message
+                   for d in diags)
+
     def test_segment_past_track_end_warns(self):
         split = _toy_split()
         long_query = Query("q3", "v1", "long",

@@ -4,17 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from svageval import spatial
 from svageval.model import BoundingBox, TemporalSegment, ValidationError
+from svageval.pipeline import evaluate_query
 from svageval.spatial import (
     ALPHAS,
+    MAPPING_ALPHA,
     box_iou,
-    global_alignment,
     hota_at_alpha,
     hota_sweep,
     match_at_alpha,
     mean_components,
     restrict_track,
 )
+
+from svageval.synth import ScenarioSpec, generate
 
 from conftest import constant_track, make_track, random_tracks
 
@@ -71,21 +75,21 @@ def _id_switch_scenario():
 class TestHotaPerfect:
     def test_all_ones(self, unit_box):
         gt, pred = _perfect_pair(unit_box)
-        c = hota_sweep(gt, pred)
+        c = hota_sweep(gt, pred)[0]
         assert c.hota == 1.0
         assert c.det_a == c.ass_a == c.loc_a == 1.0
         assert c.det_re == c.det_pr == c.ass_re == c.ass_pr == 1.0
         assert c.tp == 4.0 and c.fn == 0.0 and c.fp == 0.0
 
     def test_empty_both_sides_vacuously_perfect(self):
-        c = hota_sweep([], [])
+        c = hota_sweep([], [])[0]
         assert c.hota == 1.0
         assert c.det_a == c.ass_a == c.loc_a == 1.0
         assert c.tp == 0.0
 
     def test_no_predictions(self, unit_box):
         gt, _ = _perfect_pair(unit_box)
-        c = hota_sweep(gt, [])
+        c = hota_sweep(gt, [])[0]
         assert c.hota == 0.0
         assert c.det_a == 0.0
         assert c.ass_a == 0.0 and c.loc_a == 0.0
@@ -93,7 +97,7 @@ class TestHotaPerfect:
 
     def test_no_gt_all_false_positives(self, unit_box):
         _, pred = _perfect_pair(unit_box)
-        c = hota_sweep([], pred)
+        c = hota_sweep([], pred)[0]
         assert c.hota == 0.0
         assert c.fp == 4.0
 
@@ -105,7 +109,7 @@ class TestIdSwitch:
 
     def test_sweep_components(self):
         gt, pred = _id_switch_scenario()
-        c = hota_sweep(gt, pred)
+        c = hota_sweep(gt, pred)[0]
         assert c.hota == 0.577350269189626
         assert c.det_a == 1.0
         assert c.ass_a == pytest.approx(1 / 3, abs=0)
@@ -116,8 +120,7 @@ class TestIdSwitch:
 
     def test_single_alpha(self):
         gt, pred = _id_switch_scenario()
-        alignment = global_alignment(gt, pred, Fraction(1, 2))
-        match = match_at_alpha(gt, pred, Fraction(1, 2), alignment)
+        match = match_at_alpha(gt, pred, Fraction(1, 2))
         c = hota_at_alpha(match)
         assert c.hota == 0.5773502691896257
         assert c.tp == 8 and c.fn == 0 and c.fp == 0
@@ -131,7 +134,7 @@ class TestPartialLocalization:
     def test_sweep(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 4))]
         pred = [constant_track(1, BoundingBox(0, 0, 10, 20), range(1, 4))]
-        c = hota_sweep(gt, pred)
+        c = hota_sweep(gt, pred)[0]
         expected = 10 / 19
         assert c.det_a == 0.5263157894736842
         assert c.ass_a == expected and c.det_re == expected
@@ -153,8 +156,7 @@ class TestMatching:
         pred = [make_track(1, [(1, near)]),
                 make_track(2, [(1, near), (2, box), (3, box), (4, box)])]
         alpha = Fraction(1, 2)
-        alignment = global_alignment(gt, pred, alpha)
-        match = match_at_alpha(gt, pred, alpha, alignment)
+        match = match_at_alpha(gt, pred, alpha)
         assert match.frames[0].matches[0][:2] == (1, 2)
         assert match.frames[0].unmatched_pred == (1,)
 
@@ -164,29 +166,30 @@ class TestMatching:
         gt = [make_track(1, [(1, box)]), make_track(2, [(1, box)])]
         pred = [make_track(3, [(1, box)]), make_track(4, [(1, box)])]
         alpha = Fraction(1, 2)
-        alignment = global_alignment(gt, pred, alpha)
-        match = match_at_alpha(gt, pred, alpha, alignment)
+        match = match_at_alpha(gt, pred, alpha)
         assert [(g, p) for g, p, _ in match.frames[0].matches] == [
             (1, 3), (2, 4)]
 
     def test_threshold_is_inclusive(self, unit_box):
         gt = [make_track(1, [(1, unit_box)])]
         pred = [make_track(1, [(1, BoundingBox(0, 0, 10, 20))])]  # IoU = 1/2
-        alignment = global_alignment(gt, pred, Fraction(1, 2))
-        match = match_at_alpha(gt, pred, Fraction(1, 2), alignment)
+        match = match_at_alpha(gt, pred, Fraction(1, 2))
         assert len(match.frames[0].matches) == 1
 
-    def test_alignment_alpha_mismatch_rejected(self, unit_box):
+    def test_float_alpha_is_its_decimal(self, unit_box):
+        """0.05 is 1/20, not the binary float just above it: an IoU of
+        exactly 1/20 is matched."""
         gt = [make_track(1, [(1, unit_box)])]
-        alignment = global_alignment(gt, gt, Fraction(1, 4))
-        with pytest.raises(ValueError, match="alpha"):
-            match_at_alpha(gt, gt, Fraction(1, 2), alignment)
+        pred = [make_track(1, [(1, BoundingBox(0, 0, 10, 200))])]  # 1/20
+        for alpha in (0.05, Fraction(1, 20)):
+            match = match_at_alpha(gt, pred, alpha)
+            assert len(match.frames[0].matches) == 1
 
     @pytest.mark.parametrize("alpha", [0, 1, -0.5, 1.5])
     def test_alpha_domain(self, alpha, unit_box):
         gt = [make_track(1, [(1, unit_box)])]
         with pytest.raises(ValueError):
-            global_alignment(gt, gt, alpha)
+            match_at_alpha(gt, gt, alpha)
 
     def test_matching_maximizes_cardinality_over_alignment(self):
         """A greedy best-alignment-first pairing would match (1, 1) and
@@ -199,8 +202,7 @@ class TestMatching:
         pred = [make_track(1, [(1, box_b), (2, box_a)]),
                 make_track(2, [(1, shift_a)])]
         alpha = Fraction(1, 2)
-        alignment = global_alignment(gt, pred, alpha)
-        match = match_at_alpha(gt, pred, alpha, alignment)
+        match = match_at_alpha(gt, pred, alpha)
         assert len(match.frames[0].matches) == 2
 
 
@@ -220,8 +222,8 @@ class TestRestrictTrack:
 class TestMeanComponents:
     def test_counts_sum_ratios_average(self, unit_box):
         gt, pred = _perfect_pair(unit_box)
-        perfect = hota_sweep(gt, pred)
-        miss = hota_sweep(gt, [])
+        perfect = hota_sweep(gt, pred)[0]
+        miss = hota_sweep(gt, [])[0]
         mean = mean_components([perfect, miss])
         assert mean.hota == 0.5
         assert mean.det_a == 0.5
@@ -241,11 +243,10 @@ class TestSweepDecomposition:
         for _ in range(40):
             gt = random_tracks(rng, 3, 6, id_base=1)
             pred = random_tracks(rng, 3, 6, id_base=1)
-            sweep = hota_sweep(gt, pred)
+            sweep = hota_sweep(gt, pred)[0]
             per_alpha = []
             for alpha in ALPHAS:
-                alignment = global_alignment(gt, pred, alpha)
-                c = hota_at_alpha(match_at_alpha(gt, pred, alpha, alignment))
+                c = hota_at_alpha(match_at_alpha(gt, pred, alpha))
                 per_alpha.append(c)
             expected = sum(c.hota for c in per_alpha) / len(ALPHAS)
             assert sweep.hota == expected
@@ -253,3 +254,33 @@ class TestSweepDecomposition:
             if abs(naive - sweep.hota) > 1e-9:
                 saw_gap = True
         assert saw_gap, "sweep never separated the two formulas"
+
+
+class TestOnePass:
+    def test_sweep_returns_its_mapping_match(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            gt = random_tracks(rng, 3, 6, id_base=1)
+            pred = random_tracks(rng, 3, 6, id_base=1)
+            _, match_05 = hota_sweep(gt, pred)
+            assert match_05 == match_at_alpha(gt, pred, MAPPING_ALPHA)
+
+    def test_query_builds_one_scenario_and_solves_each_threshold_once(
+            self, monkeypatch):
+        calls = {"init": 0, "match": 0}
+        init, match = spatial._Scenario.__init__, spatial._Scenario.match
+
+        def counting_init(self, *args):
+            calls["init"] += 1
+            init(self, *args)
+
+        def counting_match(self, alpha):
+            calls["match"] += 1
+            return match(self, alpha)
+
+        monkeypatch.setattr(spatial._Scenario, "__init__", counting_init)
+        monkeypatch.setattr(spatial._Scenario, "match", counting_match)
+        bundle, predictions = generate(ScenarioSpec(seed=4, queries=1))
+        video = bundle.videos[predictions[0].video_id]
+        evaluate_query(video, video.queries[0], predictions[0])
+        assert calls == {"init": 1, "match": len(ALPHAS)}
