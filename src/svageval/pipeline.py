@@ -45,7 +45,13 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
 
 
 def _query_units(split: DatasetSplit):
-    pred_index = {(p.video_id, p.query_id): p for p in split.predictions}
+    pred_index = {}
+    for predset in split.predictions:
+        key = (predset.video_id, predset.query_id)
+        if key in pred_index:
+            raise ValueError(f"dataset {split.name!r} has two prediction "
+                             f"sets for {key[0]}/{key[1]}")
+        pred_index[key] = predset
     known = set()
     for video_id in sorted(split.bundle.videos):
         video = split.bundle.videos[video_id]
@@ -66,8 +72,9 @@ def _evaluate_unit(unit):
 def evaluate_split(split: DatasetSplit, nms_threshold: float | None,
                    jobs: int = 1) -> DatasetReport:
     """Evaluate every query of one dataset and aggregate. Queries without
-    predictions score 0 (logged). The worker count changes wall time only,
-    never output values."""
+    predictions score 0 (logged); two prediction sets for one (video,
+    query) raise ValueError. The worker count changes wall time only, never
+    output values."""
     units = list(_query_units(split))
     if not units:
         raise ValueError(f"dataset {split.name!r} has no queries")

@@ -5,6 +5,13 @@ All similarity and alignment arithmetic runs on exact rationals
 fully deterministic: no float-order effects, exact threshold comparisons,
 and reproducible tie-breaking (ascending ids). Floats appear only in the
 final reported components.
+
+Each frame's assignment is solved one connected component of its feasible
+(gt, pred) graph at a time, on Python ints: a component's objectives are
+scaled by the lcm of their denominators, with a cardinality term above
+them and a tie term below, so the integer optimum is the rational one.
+Both steps are exact, so the matches are the same as one solve over the
+whole frame in `Fraction` would give.
 """
 from __future__ import annotations
 
@@ -116,12 +123,12 @@ class _Scenario:
             gids = sorted(self.gt_dets.get(frame, {}))
             pids = sorted(self.pred_dets.get(frame, {}))
             iou_table = self.iou[frame]
-            feasible = [(g, p) for g in gids for p in pids
-                        if iou_table.get((g, p), _ZERO) >= alpha]
+            feasible = [pair for pair, value in iou_table.items()
+                        if value >= alpha]
             if not feasible:
                 frames.append(FrameMatch(frame, (), tuple(gids), tuple(pids)))
                 continue
-            pairs = _optimal_pairs(gids, pids, feasible, iou_table, alignment)
+            pairs = _optimal_pairs(feasible, iou_table, alignment)
             matched_g = {g for g, _ in pairs}
             matched_p = {p for _, p in pairs}
             frames.append(FrameMatch(
@@ -133,74 +140,125 @@ class _Scenario:
         return AlphaMatchResult(alpha=alpha, frames=tuple(frames))
 
 
-def _optimal_pairs(gids, pids, feasible, iou_table, alignment):
+def _optimal_pairs(feasible, iou_table, alignment):
     """Maximum-cardinality assignment over the feasible pairs; among those,
     maximum total (alignment + IOU_EPSILON * iou); remaining ties broken
-    toward the lexicographically smallest (gt_id, pred_id) pair list.
+    toward the lexicographically smallest sorted (gt_id, pred_id) pair list.
 
-    Encoded as one exact max-weight assignment: a cardinality constant that
-    dominates any objective difference, plus a tie term smaller than the
-    smallest representable objective difference (all objectives are
-    multiples of 1/D for D = lcm of their denominators). Every feasible
-    pair reaches the threshold in this frame, so it has an alignment."""
-    objective = {
-        (g, p): alignment[(g, p)] + IOU_EPSILON * iou_table[(g, p)]
-        for g, p in feasible
-    }
-    denom_lcm = 1
-    for value in objective.values():
-        denom_lcm = denom_lcm * value.denominator // math.gcd(
-            denom_lcm, value.denominator)
-    tie_unit = Fraction(1, 2 * denom_lcm)
-    n = max(len(gids), len(pids))
-    cardinality_bonus = Fraction(2 * (n + 1))
-    weight = [[_ZERO] * n for _ in range(n)]
-    for code, (g, p) in enumerate(sorted(feasible), start=1):
-        i = gids.index(g)
-        j = pids.index(p)
-        weight[i][j] = (cardinality_bonus + objective[(g, p)]
-                        + tie_unit * Fraction(1, 3 ** code))
-    cols = _max_weight_assignment(weight)
+    Solved one connected component of the feasible bipartite graph at a
+    time, which is exact: cardinality and objective add up over
+    components, and for two equal-size sorted pair lists the
+    lexicographically smaller one is the one holding the smallest pair of
+    their symmetric difference, a pair that lies in a single component.
+    A component with one id on either side is solved by its best pair;
+    any other by one exact integer assignment over its own ids. Every
+    feasible pair reaches the threshold in this frame, so it has an
+    alignment."""
     pairs = []
-    for i, j in enumerate(cols):
-        if i < len(gids) and j < len(pids) and (gids[i], pids[j]) in objective:
-            pairs.append((gids[i], pids[j]))
+    for component in _components(feasible):
+        objective = {
+            pair: alignment[pair] + IOU_EPSILON * iou_table[pair]
+            for pair in component
+        }
+        gids = sorted({g for g, _ in component})
+        pids = sorted({p for _, p in component})
+        if len(gids) == 1 or len(pids) == 1:
+            pairs.append(min(component,
+                             key=lambda pair: (-objective[pair], pair)))
+        else:
+            pairs.extend(_component_pairs(component, gids, pids, objective))
     pairs.sort()
     return pairs
 
 
+def _components(feasible):
+    """Connected components of the bipartite graph the pairs span, each a
+    sorted list of its pairs."""
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def root(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    for g, p in feasible:
+        parent[root(("pred", p))] = root(("gt", g))
+    components: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for g, p in sorted(feasible):
+        components.setdefault(root(("gt", g)), []).append((g, p))
+    return list(components.values())
+
+
+def _component_pairs(component, gids, pids, objective):
+    """The optimal pairs of one component, as one max-weight assignment on
+    integers. With n the larger side, D the lcm of the objectives'
+    denominators and K the number of pairs, the pair of sorted rank `code`
+    (1-based) weighs
+
+        (2(n + 1) + objective) * D * 3**K + 3**(K - code).
+
+    The cardinality term outweighs any objective sum (each objective is
+    below 2, and at most n pairs match); objectives differ by multiples of
+    1/D, so a nonzero objective difference outweighs the tie terms, which
+    sum to less than 3**K / 2; and among the rest the larger tie sum holds
+    the smallest pair of the symmetric difference."""
+    count = len(component)
+    unit = math.lcm(*{v.denominator for v in objective.values()}) * 3 ** count
+    bonus = 2 * (max(len(gids), len(pids)) + 1) * unit
+    row_of = {g: i for i, g in enumerate(gids)}
+    col_of = {p: j for j, p in enumerate(pids)}
+    weight = [[0] * len(pids) for _ in gids]
+    for code, (g, p) in enumerate(component, start=1):
+        value = objective[(g, p)]
+        weight[row_of[g]][col_of[p]] = (
+            bonus + value.numerator * (unit // value.denominator)
+            + 3 ** (count - code))
+    if len(gids) <= len(pids):
+        assigned = [(gids[i], pids[j])
+                    for i, j in enumerate(_max_weight_assignment(weight))]
+    else:
+        transposed = [list(column) for column in zip(*weight)]
+        assigned = [(gids[i], pids[j])
+                    for j, i in enumerate(_max_weight_assignment(transposed))]
+    return [pair for pair in assigned if pair in objective]
+
+
 def _max_weight_assignment(weight):
-    """Exact max-weight square assignment (Hungarian with potentials over
-    rationals). Returns the column assigned to each row."""
-    n = len(weight)
-    big = sum(sum(row) for row in weight) + 1
-    cost = [[big - w for w in row] for row in weight]
-    INF = big * (n + 1)
-    u = [_ZERO] * (n + 1)
-    v = [_ZERO] * (n + 1)
-    match_row = [0] * (n + 1)  # column j (1-based) -> row (1-based)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    """Exact max-weight assignment of every row of an integer matrix with
+    no more rows than columns (Hungarian method with potentials, on Python
+    ints). Returns the column assigned to each row."""
+    rows, cols = len(weight), len(weight[0])
+    top = max(map(max, weight))
+    cost = [[top - w for w in row] for row in weight]
+    u = [0] * (rows + 1)
+    v = [0] * (cols + 1)
+    match_row = [0] * (cols + 1)  # column j (1-based) -> row (1-based)
+    way = [0] * (cols + 1)
+    for i in range(1, rows + 1):
         match_row[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        # The first step sets every column's entry from row i, so the float
+        # infinity is only ever compared, never added to an int.
+        minv = [math.inf] * (cols + 1)
+        used = [False] * (cols + 1)
         while True:
             used[j0] = True
             i0 = match_row[j0]
-            delta = INF
+            row = cost[i0 - 1]
+            u0 = u[i0]
+            delta = math.inf
             j1 = 0
-            for j in range(1, n + 1):
+            for j in range(1, cols + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(cols + 1):
                 if used[j]:
                     u[match_row[j]] += delta
                     v[j] -= delta
@@ -213,10 +271,11 @@ def _max_weight_assignment(weight):
             j1 = way[j0]
             match_row[j0] = match_row[j1]
             j0 = j1
-    cols = [0] * n
-    for j in range(1, n + 1):
-        cols[match_row[j] - 1] = j - 1
-    return cols
+    assignment = [0] * rows
+    for j in range(1, cols + 1):
+        if match_row[j]:
+            assignment[match_row[j] - 1] = j - 1
+    return assignment
 
 
 def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:

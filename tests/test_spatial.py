@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svageval import spatial
+from svageval import spatial, synth
 from svageval.model import BoundingBox, TemporalSegment, ValidationError
 from svageval.pipeline import evaluate_query
 from svageval.spatial import (
@@ -284,3 +285,83 @@ class TestOnePass:
         video = bundle.videos[predictions[0].video_id]
         evaluate_query(video, video.queries[0], predictions[0])
         assert calls == {"init": 1, "match": len(ALPHAS)}
+
+
+_ALIGNMENTS = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+_IOUS = (Fraction(1, 2), Fraction(2, 3), Fraction(1))
+
+
+@st.composite
+def _tied_frames(draw):
+    """One frame's feasible pairs with their IoUs and alignments, at most
+    6 ids a side. The pairs fall in blocks over disjoint ids, so a frame
+    has several components, 1 x k and k x 1 ones among them; the ids are
+    shuffled so that components interleave in id order, and the values
+    come from a few fractions so that exact ties are common."""
+    gids = draw(st.permutations(range(1, 7)))
+    pids = draw(st.permutations(range(1, 7)))
+    feasible = []
+    used_g = used_p = 0
+    blocks = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           min_size=1, max_size=4))
+    for rows, cols in blocks:
+        rows, cols = min(rows, 6 - used_g), min(cols, 6 - used_p)
+        if rows < 1 or cols < 1:
+            break
+        cells = [(gids[used_g + i], pids[used_p + j])
+                 for i in range(rows) for j in range(cols)]
+        feasible += draw(st.lists(
+            st.sampled_from(cells), min_size=min(len(cells), rows + cols - 1),
+            max_size=len(cells), unique=True))
+        used_g += rows
+        used_p += cols
+    iou_table = {pair: draw(st.sampled_from(_IOUS)) for pair in feasible}
+    alignment = {pair: draw(st.sampled_from(_ALIGNMENTS))
+                 for pair in feasible}
+    return feasible, iou_table, alignment
+
+
+def _exhaustive_pairs(feasible, iou_table, alignment):
+    """The oracle's rule over every partial matching: most pairs, then the
+    largest objective, then the smallest sorted pair list."""
+    gids = sorted({g for g, _ in feasible})
+    pids = sorted({p for _, p in feasible})
+    best = best_key = None
+    for matching in synth._enumerate_matchings(gids, pids, set(feasible)):
+        pairs = sorted(matching)
+        objective = sum((alignment[pair] + synth._ORACLE_EPS * iou_table[pair]
+                         for pair in pairs), Fraction(0))
+        key = (len(pairs), objective)
+        if best is None or key > best_key or (key == best_key
+                                              and pairs < best):
+            best, best_key = pairs, key
+    return best
+
+
+class TestAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_frames())
+    def test_optimal_pairs_match_exhaustive_search(self, frame):
+        assert spatial._optimal_pairs(*frame) == _exhaustive_pairs(*frame)
+
+    def test_solves_only_connected_components(self, monkeypatch):
+        """Three overlapping referents and ten far-away predicted tracks: no
+        assignment matrix is larger than the referents' component."""
+        sizes = []
+        solve = spatial._max_weight_assignment
+
+        def recording(weight):
+            sizes.append((len(weight), len(weight[0])))
+            return solve(weight)
+
+        monkeypatch.setattr(spatial, "_max_weight_assignment", recording)
+        frames = range(1, 6)
+        gt = [constant_track(k, BoundingBox(4 * k, 0, 10, 10), frames)
+              for k in (1, 2, 3)]
+        pred = [constant_track(k, BoundingBox(4 * k + 1, 0, 10, 10), frames)
+                for k in (1, 2, 3)]
+        pred += [constant_track(10 + k, BoundingBox(500 + 40 * k, 500, 10, 10),
+                                frames) for k in range(10)]
+        hota_sweep(gt, pred)
+        assert sizes
+        assert max(max(size) for size in sizes) <= 3
