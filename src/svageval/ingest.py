@@ -88,21 +88,31 @@ class DatasetSplit:
     predictions: list[PredictionSet] = field(default_factory=list)
 
 
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8, with CRLF and CR line ends read as LF."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IngestError(path, "", f"cannot read file: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(path, f"byte {exc.start}",
+                          f"invalid UTF-8: {exc.reason}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_track_csv(path, with_score: bool = False) -> list[Track]:
     """Parse ``frame,track_id,x,y,w,h[,score]`` lines into Tracks grouped by
     track_id. Duplicate (frame, track_id) lines are a hard error."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(path, "", f"cannot read file: {exc}") from exc
+    text = _read_text(path)
     expected = 7 if with_score else 6
     per_track: dict[int, dict[int, Detection]] = {}
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # optional trailing newline
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(lines, start=1):
         if line == "":
             raise IngestError(path, f"line {lineno}", "blank line")
         parts = line.split(",")
@@ -155,11 +165,7 @@ def parse_track_csv(path, with_score: bool = False) -> list[Track]:
 def _json_load(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(path, "", f"cannot read file: {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise IngestError(path, f"line {exc.lineno}",
                           f"invalid JSON: {exc.msg}") from exc
@@ -173,7 +179,11 @@ def _get(data: dict, key: str, kind, path, where: str):
         raise IngestError(path, where, f"missing field '{key}'")
     value = data[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise IngestError(path, f"{where}.{key}",
+                              "number too large for a float") from exc
     if not isinstance(value, kind) or isinstance(value, bool):
         raise IngestError(path, f"{where}.{key}",
                           f"expected {kind.__name__}")

@@ -191,6 +191,7 @@ class PredictionSet:
 
 _RATIO_FIELDS = ("hota", "det_a", "ass_a", "det_re", "det_pr",
                  "ass_re", "ass_pr", "loc_a")
+_COUNT_FIELDS = ("tp", "fn", "fp")
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ class HotaComponents:
             v = getattr(self, name)
             _finite_number(v, name)
             _require(0.0 <= v <= 1.0, name, "must be in [0, 1]")
-        for name in ("tp", "fn", "fp"):
+        for name in _COUNT_FIELDS:
             v = getattr(self, name)
             _finite_number(v, name)
             _require(v >= 0, name, "must be non-negative")

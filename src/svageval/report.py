@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._util import format_fixed
-from .model import HotaComponents, TemporalMetrics
+from .model import (_COUNT_FIELDS, _RATIO_FIELDS, HotaComponents,
+                    TemporalMetrics)
 from .spatial import mean_components
 
 DATASET_ORDER: tuple[str, ...] = ("ovis", "mot17", "mot20")
@@ -96,19 +97,8 @@ def _sig6(value: float) -> float:
 
 
 def _spatial_dict(c: HotaComponents) -> dict:
-    return {
-        "hota": _sig6(c.hota),
-        "det_a": _sig6(c.det_a),
-        "ass_a": _sig6(c.ass_a),
-        "det_re": _sig6(c.det_re),
-        "det_pr": _sig6(c.det_pr),
-        "ass_re": _sig6(c.ass_re),
-        "ass_pr": _sig6(c.ass_pr),
-        "loc_a": _sig6(c.loc_a),
-        "tp": _sig6(c.tp),
-        "fn": _sig6(c.fn),
-        "fp": _sig6(c.fp),
-    }
+    return {name: _sig6(getattr(c, name))
+            for name in _RATIO_FIELDS + _COUNT_FIELDS}
 
 
 def _temporal_dict(m: TemporalMetrics) -> dict:

@@ -6,6 +6,13 @@ fully deterministic: no float-order effects, exact threshold comparisons,
 and reproducible tie-breaking (ascending ids). Floats appear only in the
 final reported components.
 
+Once per query, `_Scenario` converts each detection's box to exact
+corners and area, records each track's frame set, and fills every frame's
+table of positive IoUs. Per threshold, `match` filters each table to its
+feasible pairs once, counts the track alignments from those same lists and
+solves each frame's assignment; `ratios` then reduces the matching, taking
+each track's detection count from its frame set.
+
 Each frame's assignment is solved one connected component of its feasible
 (gt, pred) graph at a time, on Python ints: a component's objectives are
 scaled by the lcm of their denominators, with a cardinality term above
@@ -19,7 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import BoundingBox, HotaComponents, Track
+from .model import (_COUNT_FIELDS, _RATIO_FIELDS, BoundingBox,
+                    HotaComponents, Track)
 
 # Localization threshold sweep: 0.05 .. 0.95 in steps of 0.05.
 ALPHAS: tuple[Fraction, ...] = tuple(Fraction(k, 100) for k in range(5, 100, 5))
@@ -34,31 +42,34 @@ IOU_EPSILON = Fraction(1, 10000)
 _ZERO = Fraction(0)
 
 
-def _iou_frac(a: BoundingBox, b: BoundingBox) -> Fraction:
-    ax, ay, aw, ah = (Fraction(a.x), Fraction(a.y), Fraction(a.w), Fraction(a.h))
-    bx, by, bw, bh = (Fraction(b.x), Fraction(b.y), Fraction(b.w), Fraction(b.h))
-    iw = min(ax + aw, bx + bw) - max(ax, bx)
+def _exact_box(box: BoundingBox) -> tuple[Fraction, ...]:
+    """(x1, y1, x2, y2, area) of a box, exactly."""
+    x, y, w, h = (Fraction(box.x), Fraction(box.y), Fraction(box.w),
+                  Fraction(box.h))
+    return x, y, x + w, y + h, w * h
+
+
+def _iou_frac(a, b) -> Fraction:
+    """Exact IoU of two `_exact_box` tuples."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
     if iw <= 0:
         return _ZERO
-    ih = min(ay + ah, by + bh) - max(ay, by)
+    ih = min(a[3], b[3]) - max(a[1], b[1])
     if ih <= 0:
         return _ZERO
     inter = iw * ih
-    union = aw * ah + bw * bh - inter
-    return inter / union
+    return inter / (a[4] + b[4] - inter)
 
 
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint."""
-    return float(_iou_frac(a, b))
+    return float(_iou_frac(_exact_box(a), _exact_box(b)))
 
 
 @dataclass(frozen=True)
 class FrameMatch:
     frame: int
     matches: tuple[tuple[int, int, Fraction], ...]  # (gt_id, pred_id, iou)
-    unmatched_gt: tuple[int, ...]
-    unmatched_pred: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -69,75 +80,96 @@ class AlphaMatchResult:
     frames: tuple[FrameMatch, ...]
 
 
+def _by_frame(tracks):
+    """frame -> {track_id: exact box}, and track_id -> its set of frames."""
+    boxes: dict[int, dict[int, tuple[Fraction, ...]]] = {}
+    frames: dict[int, set[int]] = {}
+    for track in tracks:
+        for det in track.detections:
+            box = _exact_box(det.box)
+            boxes.setdefault(det.frame, {})[track.track_id] = box
+            frames.setdefault(track.track_id, set()).add(det.frame)
+    return boxes, frames
+
+
 class _Scenario:
     """Frame-indexed view of one (video, query)'s GT and predicted tracks,
     with the pairwise IoU table computed once and shared across thresholds."""
 
     def __init__(self, gt_tracks, pred_tracks):
-        self.gt_dets: dict[int, dict[int, BoundingBox]] = {}
-        self.pred_dets: dict[int, dict[int, BoundingBox]] = {}
-        for track in gt_tracks:
-            for det in track.detections:
-                self.gt_dets.setdefault(det.frame, {})[track.track_id] = det.box
-        for track in pred_tracks:
-            for det in track.detections:
-                self.pred_dets.setdefault(det.frame, {})[track.track_id] = det.box
-        self.frames = sorted(set(self.gt_dets) | set(self.pred_dets))
-        self.gt_frames: dict[int, set[int]] = {}
-        self.pred_frames: dict[int, set[int]] = {}
-        for frame, dets in self.gt_dets.items():
-            for gid in dets:
-                self.gt_frames.setdefault(gid, set()).add(frame)
-        for frame, dets in self.pred_dets.items():
-            for pid in dets:
-                self.pred_frames.setdefault(pid, set()).add(frame)
+        gt_boxes, self.gt_frames = _by_frame(gt_tracks)
+        pred_boxes, self.pred_frames = _by_frame(pred_tracks)
+        self.frames = sorted(set(gt_boxes) | set(pred_boxes))
         self.iou: dict[int, dict[tuple[int, int], Fraction]] = {}
         for frame in self.frames:
             table = {}
-            for gid, gbox in self.gt_dets.get(frame, {}).items():
-                for pid, pbox in self.pred_dets.get(frame, {}).items():
+            for gid, gbox in gt_boxes.get(frame, {}).items():
+                for pid, pbox in pred_boxes.get(frame, {}).items():
                     value = _iou_frac(gbox, pbox)
                     if value > 0:
                         table[(gid, pid)] = value
             self.iou[frame] = table
 
-    def alignment(self, alpha: Fraction) -> dict[tuple[int, int], Fraction]:
-        """Per-(gt, pred) track pair reaching alpha in at least one frame:
+    def match(self, alpha: Fraction) -> AlphaMatchResult:
+        """Each frame's optimal matching at alpha, guided by the alignment
+        of each (gt, pred) track pair reaching alpha in at least one frame:
         |frames matched at alpha| / |frames where either appears| (a
         Jaccard index over frames)."""
-        matched: dict[tuple[int, int], int] = {}
-        for frame in self.frames:
-            for pair, value in self.iou[frame].items():
-                if value >= alpha:
-                    matched[pair] = matched.get(pair, 0) + 1
-        scores = {}
-        for (gid, pid), count in matched.items():
-            union = len(self.gt_frames[gid] | self.pred_frames[pid])
-            scores[(gid, pid)] = Fraction(count, union)
-        return scores
-
-    def match(self, alpha: Fraction) -> AlphaMatchResult:
-        alignment = self.alignment(alpha)
+        feasible = {frame: [pair for pair, value in table.items()
+                            if value >= alpha]
+                    for frame, table in self.iou.items()}
+        counts: dict[tuple[int, int], int] = {}
+        for pairs in feasible.values():
+            for pair in pairs:
+                counts[pair] = counts.get(pair, 0) + 1
+        alignment = {
+            (gid, pid): Fraction(
+                count, len(self.gt_frames[gid] | self.pred_frames[pid]))
+            for (gid, pid), count in counts.items()}
         frames = []
         for frame in self.frames:
-            gids = sorted(self.gt_dets.get(frame, {}))
-            pids = sorted(self.pred_dets.get(frame, {}))
             iou_table = self.iou[frame]
-            feasible = [pair for pair, value in iou_table.items()
-                        if value >= alpha]
-            if not feasible:
-                frames.append(FrameMatch(frame, (), tuple(gids), tuple(pids)))
-                continue
-            pairs = _optimal_pairs(feasible, iou_table, alignment)
-            matched_g = {g for g, _ in pairs}
-            matched_p = {p for _, p in pairs}
+            pairs = _optimal_pairs(feasible[frame], iou_table, alignment)
             frames.append(FrameMatch(
-                frame=frame,
-                matches=tuple((g, p, iou_table[(g, p)]) for g, p in pairs),
-                unmatched_gt=tuple(g for g in gids if g not in matched_g),
-                unmatched_pred=tuple(p for p in pids if p not in matched_p),
-            ))
+                frame, tuple((g, p, iou_table[(g, p)]) for g, p in pairs)))
         return AlphaMatchResult(alpha=alpha, frames=tuple(frames))
+
+    def ratios(self, match: AlphaMatchResult) -> dict:
+        """The HOTA fields at match's threshold: hota as a float, the other
+        ratios as Fractions, tp/fn/fp as ints."""
+        tpa: dict[tuple[int, int], int] = {}
+        loc_sum = _ZERO
+        for fm in match.frames:
+            for gid, pid, iou in fm.matches:
+                tpa[(gid, pid)] = tpa.get((gid, pid), 0) + 1
+                loc_sum += iou
+        tp = sum(tpa.values())
+        fn = sum(map(len, self.gt_frames.values())) - tp
+        fp = sum(map(len, self.pred_frames.values())) - tp
+        if tp + fn == 0 and tp + fp == 0:
+            # Fully-empty scenario: vacuously perfect.
+            return {**dict.fromkeys(_RATIO_FIELDS, Fraction(1)), "hota": 1.0,
+                    "tp": 0, "fn": 0, "fp": 0}
+        values = {
+            "det_a": Fraction(tp, tp + fn + fp),
+            "det_re": Fraction(tp, tp + fn) if tp + fn else _ZERO,
+            "det_pr": Fraction(tp, tp + fp) if tp + fp else _ZERO,
+            "ass_a": _ZERO, "ass_re": _ZERO, "ass_pr": _ZERO, "loc_a": _ZERO,
+            "tp": tp, "fn": fn, "fp": fp,
+        }
+        if tp:
+            for (gid, pid), count in tpa.items():
+                gt_count = len(self.gt_frames[gid])
+                pred_count = len(self.pred_frames[pid])
+                values["ass_a"] += count * Fraction(
+                    count, gt_count + pred_count - count)
+                values["ass_re"] += count * Fraction(count, gt_count)
+                values["ass_pr"] += count * Fraction(count, pred_count)
+            for name in ("ass_a", "ass_re", "ass_pr"):
+                values[name] /= tp
+            values["loc_a"] = loc_sum / tp
+        values["hota"] = math.sqrt(float(values["det_a"] * values["ass_a"]))
+        return values
 
 
 def _optimal_pairs(feasible, iou_table, alignment):
@@ -293,72 +325,18 @@ def _as_alpha(alpha) -> Fraction:
     return value
 
 
-def _components_frac(match: AlphaMatchResult):
-    """Exact per-threshold components. Returns a dict of Fractions plus the
-    tp/fn/fp counts."""
-    tpa: dict[tuple[int, int], int] = {}
-    gt_count: dict[int, int] = {}
-    pred_count: dict[int, int] = {}
-    loc_sum = _ZERO
-    tp = 0
-    for fm in match.frames:
-        for gid, pid, iou in fm.matches:
-            tpa[(gid, pid)] = tpa.get((gid, pid), 0) + 1
-            gt_count[gid] = gt_count.get(gid, 0) + 1
-            pred_count[pid] = pred_count.get(pid, 0) + 1
-            loc_sum += iou
-            tp += 1
-        for gid in fm.unmatched_gt:
-            gt_count[gid] = gt_count.get(gid, 0) + 1
-        for pid in fm.unmatched_pred:
-            pred_count[pid] = pred_count.get(pid, 0) + 1
-    gt_total = sum(gt_count.values())
-    pred_total = sum(pred_count.values())
-    fn = gt_total - tp
-    fp = pred_total - tp
-    one = Fraction(1)
-    if gt_total == 0 and pred_total == 0:
-        # Fully-empty scenario: vacuously perfect.
-        ratios = {name: one for name in
-                  ("det_a", "det_re", "det_pr", "ass_a", "ass_re", "ass_pr",
-                   "loc_a")}
-        return ratios, tp, fn, fp
-    det_a = Fraction(tp, tp + fn + fp) if tp + fn + fp else _ZERO
-    det_re = Fraction(tp, tp + fn) if tp + fn else _ZERO
-    det_pr = Fraction(tp, tp + fp) if tp + fp else _ZERO
-    if tp == 0:
-        ass_a = ass_re = ass_pr = loc_a = _ZERO
-    else:
-        ass_a = ass_re = ass_pr = _ZERO
-        for (gid, pid), count in tpa.items():
-            a = Fraction(count, gt_count[gid] + pred_count[pid] - count)
-            ass_a += count * a
-            ass_re += count * Fraction(count, gt_count[gid])
-            ass_pr += count * Fraction(count, pred_count[pid])
-        ass_a /= tp
-        ass_re /= tp
-        ass_pr /= tp
-        loc_a = loc_sum / tp
-    ratios = {"det_a": det_a, "det_re": det_re, "det_pr": det_pr,
-              "ass_a": ass_a, "ass_re": ass_re, "ass_pr": ass_pr,
-              "loc_a": loc_a}
-    return ratios, tp, fn, fp
-
-
-def hota_at_alpha(match: AlphaMatchResult) -> HotaComponents:
-    """HOTA decomposition at a single localization threshold."""
-    ratios, tp, fn, fp = _components_frac(match)
+def _hota_components(values: dict, alpha_averaged: bool = False
+                     ) -> HotaComponents:
     return HotaComponents(
-        hota=math.sqrt(float(ratios["det_a"] * ratios["ass_a"])),
-        det_a=float(ratios["det_a"]),
-        ass_a=float(ratios["ass_a"]),
-        det_re=float(ratios["det_re"]),
-        det_pr=float(ratios["det_pr"]),
-        ass_re=float(ratios["ass_re"]),
-        ass_pr=float(ratios["ass_pr"]),
-        loc_a=float(ratios["loc_a"]),
-        tp=tp, fn=fn, fp=fp,
-    )
+        **{name: float(values[name]) for name in _RATIO_FIELDS},
+        **{name: values[name] for name in _COUNT_FIELDS},
+        alpha_averaged=alpha_averaged)
+
+
+def hota_at_alpha(gt_tracks, pred_tracks, alpha) -> HotaComponents:
+    """HOTA decomposition at a single localization threshold."""
+    scenario = _Scenario(gt_tracks, pred_tracks)
+    return _hota_components(scenario.ratios(scenario.match(_as_alpha(alpha))))
 
 
 def hota_sweep(gt_tracks, pred_tracks
@@ -367,36 +345,15 @@ def hota_sweep(gt_tracks, pred_tracks
     matching at MAPPING_ALPHA. The aggregate HOTA is the mean of the
     per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
     scenario = _Scenario(gt_tracks, pred_tracks)
-    sums = {name: _ZERO for name in
-            ("det_a", "det_re", "det_pr", "ass_a", "ass_re", "ass_pr",
-             "loc_a")}
-    hota_values = []
-    tp_sum = fn_sum = fp_sum = 0
+    per_alpha = []
     for alpha in ALPHAS:
         match = scenario.match(alpha)
         if alpha == MAPPING_ALPHA:
             match_05 = match
-        ratios, tp, fn, fp = _components_frac(match)
-        for name in sums:
-            sums[name] += ratios[name]
-        hota_values.append(math.sqrt(float(ratios["det_a"] * ratios["ass_a"])))
-        tp_sum += tp
-        fn_sum += fn
-        fp_sum += fp
-    count = len(ALPHAS)
-    components = HotaComponents(
-        hota=sum(hota_values) / count,
-        det_a=float(sums["det_a"] / count),
-        ass_a=float(sums["ass_a"] / count),
-        det_re=float(sums["det_re"] / count),
-        det_pr=float(sums["det_pr"] / count),
-        ass_re=float(sums["ass_re"] / count),
-        ass_pr=float(sums["ass_pr"] / count),
-        loc_a=float(sums["loc_a"] / count),
-        tp=tp_sum / count, fn=fn_sum / count, fp=fp_sum / count,
-        alpha_averaged=True,
-    )
-    return components, match_05
+        per_alpha.append(scenario.ratios(match))
+    means = {name: sum(values[name] for values in per_alpha) / len(ALPHAS)
+             for name in _RATIO_FIELDS + _COUNT_FIELDS}
+    return _hota_components(means, alpha_averaged=True), match_05
 
 
 def restrict_track(track: Track, segments) -> Track:
@@ -414,16 +371,8 @@ def mean_components(components: list[HotaComponents]) -> HotaComponents:
         raise ValueError("cannot average zero HOTA results")
     n = len(components)
     return HotaComponents(
-        hota=sum(c.hota for c in components) / n,
-        det_a=sum(c.det_a for c in components) / n,
-        ass_a=sum(c.ass_a for c in components) / n,
-        det_re=sum(c.det_re for c in components) / n,
-        det_pr=sum(c.det_pr for c in components) / n,
-        ass_re=sum(c.ass_re for c in components) / n,
-        ass_pr=sum(c.ass_pr for c in components) / n,
-        loc_a=sum(c.loc_a for c in components) / n,
-        tp=sum(c.tp for c in components),
-        fn=sum(c.fn for c in components),
-        fp=sum(c.fp for c in components),
-        alpha_averaged=True,
-    )
+        **{name: sum(getattr(c, name) for c in components) / n
+           for name in _RATIO_FIELDS},
+        **{name: sum(getattr(c, name) for c in components)
+           for name in _COUNT_FIELDS},
+        alpha_averaged=True)

@@ -14,7 +14,6 @@ from svageval.spatial import (
     ALPHAS,
     hota_at_alpha,
     hota_sweep,
-    match_at_alpha,
 )
 from svageval.synth import (
     ScenarioSpec,
@@ -160,7 +159,7 @@ def test_criterion_7_per_alpha_identity():
                       "threshold on all fuzz inputs"):
         for gt, pred in _spatial_scenarios(200, seed=77):
             for alpha in ALPHAS:
-                c = hota_at_alpha(match_at_alpha(gt, pred, alpha))
+                c = hota_at_alpha(gt, pred, alpha)
                 assert abs(c.hota ** 2 - c.det_a * c.ass_a) <= 1e-9
 
 

@@ -107,6 +107,24 @@ class TestEvaluate:
         assert ("incomplete prediction directory skipped"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["evaluate", "validate"])
+    @pytest.mark.parametrize("name", ["gt/ovis/video0001/gt.txt",
+                                      "gt/ovis/video0001/queries.json",
+                                      "pred/ovis/video0001/q001/pred.txt",
+                                      "pred/ovis/video0001/q001/"
+                                      "pred_temporal.json"])
+    def test_invalid_utf8_exits_one_naming_the_file(self, tmp_path, capsys,
+                                                   command, name):
+        data = _synth(tmp_path)
+        path = data / name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        args = [command, "--gt", str(data / "gt"), "--pred",
+                str(data / "pred"), "--datasets", "ovis"]
+        if command == "evaluate":
+            args += ["--out", str(tmp_path / "r.json")]
+        assert main(args) == EXIT_IO
+        assert f"{path}:byte " in capsys.readouterr().err
+
     def test_bad_nms_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["evaluate", "--gt", "x", "--pred", "y", "--out", "z",

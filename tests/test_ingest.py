@@ -70,6 +70,17 @@ class TestParseTrackCsv:
         with pytest.raises(IngestError, match="cannot read"):
             parse_track_csv(tmp_path / "nope.txt")
 
+    def test_invalid_utf8_located(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"1,3,10,20,30,40\n\xff\n")
+        with pytest.raises(IngestError, match="byte 16: invalid UTF-8"):
+            parse_track_csv(path)
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(b"1,3,10,20,30,40\r2,3,10,20,30,40\r")
+        assert parse_track_csv(path)[0].frames == (1, 2)
+
 
 def _write_queries(tmp_path, doc):
     path = tmp_path / "queries.json"
@@ -151,6 +162,25 @@ class TestParsePredictionBundle:
         predset, warnings = parse_prediction_bundle(csv_path, json_path)
         assert predset.temporal == {5: ()}
         assert warnings == []
+
+    def test_huge_integer_score_located(self, tmp_path):
+        csv_path, json_path = self._write(
+            tmp_path, "1,5,10,20,30,40,1.0\n",
+            {"query_id": "q1", "video_id": "v1",
+             "tracks": [{"track_id": 5,
+                         "segments": [{"start": 1, "end": 2,
+                                       "score": 10 ** 400}]}]})
+        with pytest.raises(IngestError) as info:
+            parse_prediction_bundle(csv_path, json_path)
+        assert info.value.location == "$.tracks[0].segments[0].score"
+
+    def test_invalid_utf8_json_located(self, tmp_path):
+        csv_path, json_path = self._write(tmp_path, "1,5,10,20,30,40,1.0\n",
+                                          {})
+        json_path.write_bytes(b'{"query_id": "q\xc3"}')
+        with pytest.raises(IngestError) as info:
+            parse_prediction_bundle(csv_path, json_path)
+        assert info.value.location == "byte 15"
 
     def test_round_trip_identity(self, tmp_path):
         csv_path, json_path = self._write(

@@ -9,13 +9,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svageval.model import BoundingBox, Detection, Track
 from svageval.spatial import (
     ALPHAS,
+    AlphaMatchResult,
+    FrameMatch,
     hota_at_alpha,
     hota_sweep,
-    match_at_alpha,
 )
 from svageval.synth import oracle_hota, oracle_temporal
 from svageval.temporal import evaluate_temporal, nms
@@ -49,7 +51,7 @@ class TestHotaIdentity:
         for _ in range(50):
             gt, pred = _scenario(rng)
             for alpha in ALPHAS:
-                c = hota_at_alpha(match_at_alpha(gt, pred, alpha))
+                c = hota_at_alpha(gt, pred, alpha)
                 assert abs(c.hota ** 2 - c.det_a * c.ass_a) <= 1e-9
 
 
@@ -79,6 +81,53 @@ class TestBoundsAndDeterminism:
             rng.shuffle(shuffled_pred)
             assert hota_sweep(gt, pred)[0] == hota_sweep(
                 shuffled_gt, shuffled_pred)[0]
+
+
+def _increasing_map(data, ids):
+    """A strictly increasing map from the given ids onto fresh ones."""
+    ids = sorted(set(ids))
+    new = data.draw(st.sets(st.integers(0, 10 ** 6), min_size=len(ids),
+                            max_size=len(ids)))
+    return dict(zip(ids, sorted(new)))
+
+
+def _renamed(tracks, new_id):
+    return [Track(new_id[t.track_id],
+                  tuple(Detection(d.frame, new_id[t.track_id], d.box, d.score)
+                        for d in t.detections))
+            for t in tracks]
+
+
+def _with_twins(tracks):
+    """The tracks plus an identical copy of each under the id + 100."""
+    return tracks + _renamed(tracks, {t.track_id: t.track_id + 100
+                                      for t in tracks})
+
+
+class TestIdRenaming:
+    """Tie-breaks look only at the order of ids, never at their values.
+    The tracks of one side or both get identical twins, so exact ties,
+    1 x k and k x 1 ones among them, are everywhere."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), data=st.data())
+    def test_order_preserving_renaming_changes_nothing(self, rng, data):
+        gt, pred = _scenario(rng)
+        twins = data.draw(st.sampled_from(("gt", "pred", "both")))
+        if twins != "pred":
+            gt = _with_twins(gt)
+        if twins != "gt":
+            pred = _with_twins(pred)
+        gt_map = _increasing_map(data, [t.track_id for t in gt])
+        pred_map = _increasing_map(data, [t.track_id for t in pred])
+        components, match_05 = hota_sweep(gt, pred)
+        renamed, renamed_05 = hota_sweep(_renamed(gt, gt_map),
+                                         _renamed(pred, pred_map))
+        assert renamed == components
+        assert renamed_05 == AlphaMatchResult(match_05.alpha, tuple(
+            FrameMatch(fm.frame, tuple((gt_map[g], pred_map[p], iou)
+                                       for g, p, iou in fm.matches))
+            for fm in match_05.frames))
 
 
 class TestStructuralMonotonicity:

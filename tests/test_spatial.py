@@ -121,8 +121,7 @@ class TestIdSwitch:
 
     def test_single_alpha(self):
         gt, pred = _id_switch_scenario()
-        match = match_at_alpha(gt, pred, Fraction(1, 2))
-        c = hota_at_alpha(match)
+        c = hota_at_alpha(gt, pred, Fraction(1, 2))
         assert c.hota == 0.5773502691896257
         assert c.tp == 8 and c.fn == 0 and c.fp == 0
         assert c.hota == math.sqrt(c.det_a * c.ass_a)
@@ -158,8 +157,7 @@ class TestMatching:
                 make_track(2, [(1, near), (2, box), (3, box), (4, box)])]
         alpha = Fraction(1, 2)
         match = match_at_alpha(gt, pred, alpha)
-        assert match.frames[0].matches[0][:2] == (1, 2)
-        assert match.frames[0].unmatched_pred == (1,)
+        assert [m[:2] for m in match.frames[0].matches] == [(1, 2)]
 
     def test_tie_breaks_to_ascending_ids(self):
         """Fully symmetric two-by-two frame: ids decide."""
@@ -189,8 +187,15 @@ class TestMatching:
     @pytest.mark.parametrize("alpha", [0, 1, -0.5, 1.5])
     def test_alpha_domain(self, alpha, unit_box):
         gt = [make_track(1, [(1, unit_box)])]
+        pred = [make_track(1, [(1, BoundingBox(0, 0, 10, 200))])]  # 1/20
         with pytest.raises(ValueError):
             match_at_alpha(gt, gt, alpha)
+        with pytest.raises(ValueError):
+            hota_at_alpha(gt, gt, alpha)
+        # A float 0.05 is 1/20: the IoU of exactly 1/20 is a TP at both.
+        assert (hota_at_alpha(gt, pred, 0.05)
+                == hota_at_alpha(gt, pred, Fraction(1, 20)))
+        assert hota_at_alpha(gt, pred, 0.05).tp == 1
 
     def test_matching_maximizes_cardinality_over_alignment(self):
         """A greedy best-alignment-first pairing would match (1, 1) and
@@ -247,7 +252,7 @@ class TestSweepDecomposition:
             sweep = hota_sweep(gt, pred)[0]
             per_alpha = []
             for alpha in ALPHAS:
-                c = hota_at_alpha(match_at_alpha(gt, pred, alpha))
+                c = hota_at_alpha(gt, pred, alpha)
                 per_alpha.append(c)
             expected = sum(c.hota for c in per_alpha) / len(ALPHAS)
             assert sweep.hota == expected
