@@ -55,7 +55,7 @@ from .report import (
     m_hiou,
     write_report,
 )
-from .pipeline import evaluate_datasets, evaluate_query, evaluate_split
+from .pipeline import evaluate_datasets, evaluate_query
 from .synth import (
     ScenarioSpec,
     generate,

@@ -1,19 +1,24 @@
 """End-to-end evaluation: ingest output -> spatial HOTA per query ->
 identity mapping -> temporal metrics -> per-dataset report.
 
-Per-(video, query) evaluations are pure functions over immutable inputs
-and may run in parallel; every reduction happens in canonical
-(video_id, query position) order, so the report bytes never depend on the
-worker count.
+``evaluate_datasets`` is the one scorer of in-memory splits. It first runs
+``validate_split`` on every split and refuses, with a ``ValueError``
+listing them, any error diagnostic (an unresolved referent, a duplicate or
+orphan prediction set), so no such input is scored. Per-(video, query)
+evaluations are pure functions over immutable inputs; the queries of all
+datasets share one worker pool, and every reduction happens in canonical
+(dataset, video_id, query position) order, so the report bytes never
+depend on the worker count.
 """
 from __future__ import annotations
 
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 from .idmap import TemporalPair, build_id_map, build_temporal_pairs
-from .ingest import DatasetSplit, VideoGroundTruth
+from .ingest import DatasetSplit, VideoGroundTruth, validate_split
 from .model import HotaComponents, PredictionSet, Query
 from .report import DatasetReport, FinalReport, build_final_report
 from .spatial import hota_sweep, mean_components, restrict_track
@@ -30,13 +35,11 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     GT is the query's referent tracks restricted to their action segments;
     every predicted detection participates, so predictions tracking
     non-referent objects become false positives. A missing prediction set
-    scores zero."""
-    gt_tracks = []
-    for referent in query.referents:
-        track = video.tracks.get(referent.gt_track_id)
-        if track is None:
-            continue  # surfaced by validate_split
-        gt_tracks.append(restrict_track(track, referent.gt_segments))
+    scores zero. Every referent must resolve to a GT track of the video,
+    which ``validate_split`` checks."""
+    gt_tracks = [restrict_track(video.tracks[referent.gt_track_id],
+                                referent.gt_segments)
+                 for referent in query.referents]
     pred_tracks = list(predset.tracks) if predset is not None else []
     components, match_05 = hota_sweep(gt_tracks, pred_tracks)
     id_map = build_id_map(match_05)
@@ -45,23 +48,13 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
 
 
 def _query_units(split: DatasetSplit):
-    pred_index = {}
-    for predset in split.predictions:
-        key = (predset.video_id, predset.query_id)
-        if key in pred_index:
-            raise ValueError(f"dataset {split.name!r} has two prediction "
-                             f"sets for {key[0]}/{key[1]}")
-        pred_index[key] = predset
-    known = set()
+    """(video, query, prediction set or None) for every query of a
+    validated split, in canonical order."""
+    pred_index = {(p.video_id, p.query_id): p for p in split.predictions}
     for video_id in sorted(split.bundle.videos):
         video = split.bundle.videos[video_id]
         for query in video.queries:
-            known.add((video_id, query.query_id))
             yield video, query, pred_index.get((video_id, query.query_id))
-    orphans = [key for key in pred_index if key not in known]
-    for video_id, query_id in sorted(orphans):
-        log.warning("skipping prediction for unknown query %s/%s",
-                    video_id, query_id)
 
 
 def _evaluate_unit(unit):
@@ -69,15 +62,24 @@ def _evaluate_unit(unit):
     return evaluate_query(video, query, predset)
 
 
-def evaluate_split(split: DatasetSplit, nms_threshold: float | None,
-                   jobs: int = 1) -> DatasetReport:
-    """Evaluate every query of one dataset and aggregate. Queries without
-    predictions score 0 (logged); two prediction sets for one (video,
-    query) raise ValueError. The worker count changes wall time only, never
+def evaluate_datasets(splits, nms_threshold: float | None,
+                      jobs: int = 1) -> FinalReport:
+    """Validate every split, score all their queries and aggregate each
+    dataset. A split with error diagnostics or without queries raises
+    ValueError before anything is scored; queries without predictions
+    score 0 (logged). The worker count changes wall time only, never
     output values."""
-    units = list(_query_units(split))
-    if not units:
-        raise ValueError(f"dataset {split.name!r} has no queries")
+    splits = list(splits)
+    errors = [diag for split in splits for diag in validate_split(split)
+              if diag.severity == "error"]
+    if errors:
+        raise ValueError(f"{len(errors)} validation error(s):\n"
+                         + "\n".join(str(diag) for diag in errors))
+    per_split = [list(_query_units(split)) for split in splits]
+    for split, units in zip(splits, per_split):
+        if not units:
+            raise ValueError(f"dataset {split.name!r} has no queries")
+    units = [unit for split_units in per_split for unit in split_units]
     for video, query, predset in units:
         if predset is None:
             log.warning("no predictions for %s/%s; query scores 0",
@@ -87,22 +89,19 @@ def evaluate_split(split: DatasetSplit, nms_threshold: float | None,
             results = list(pool.map(_evaluate_unit, units,
                                     chunksize=max(1, len(units) // (4 * jobs))))
     else:
-        results = [_evaluate_unit(u) for u in units]
-    components = [c for c, _ in results]
-    pairs = [p for _, query_pairs in results for p in query_pairs]
-    return DatasetReport(
-        name=split.name,
-        spatial=mean_components(components),
-        temporal=evaluate_temporal(pairs, nms_threshold),
-        query_count=len(units),
-        referent_count=len(pairs),
-    )
-
-
-def evaluate_datasets(splits, nms_threshold: float | None,
-                      jobs: int = 1) -> FinalReport:
-    reports = [evaluate_split(split, nms_threshold, jobs=jobs)
-               for split in splits]
+        results = [_evaluate_unit(unit) for unit in units]
+    results = iter(results)
+    reports = []
+    for split, split_units in zip(splits, per_split):
+        split_results = list(islice(results, len(split_units)))
+        pairs = [p for _, query_pairs in split_results for p in query_pairs]
+        reports.append(DatasetReport(
+            name=split.name,
+            spatial=mean_components([c for c, _ in split_results]),
+            temporal=evaluate_temporal(pairs, nms_threshold),
+            query_count=len(split_units),
+            referent_count=len(pairs),
+        ))
     return build_final_report(reports)
 
 

@@ -1,5 +1,7 @@
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +127,34 @@ class TestEvaluate:
         assert main(args) == EXIT_IO
         assert f"{path}:byte " in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    def test_overlong_integer_exits_one_naming_the_file(self, tmp_path,
+                                                       capsys):
+        data = _synth(tmp_path)
+        path = data / "pred" / "ovis" / "video0001" / "q001" / \
+            "pred_temporal.json"
+        doc = json.loads(path.read_text())
+        text = json.dumps(doc).replace(
+            f'"track_id": {doc["tracks"][0]["track_id"]}',
+            '"track_id": ' + "9" * 5001, 1)
+        path.write_text(text)
+        code = main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_IO
+        assert f"error: {path}: invalid JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exits_one_naming_the_file(self, tmp_path,
+                                                          capsys):
+        data = _synth(tmp_path)
+        path = data / "gt" / "ovis" / "video0001" / "queries.json"
+        path.write_text("[" * 100_000)
+        code = main(["validate", "--gt", str(data / "gt"),
+                     "--datasets", "ovis"])
+        assert code == EXIT_IO
+        assert f"error: {path}: invalid JSON" in capsys.readouterr().err
+
     def test_bad_nms_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["evaluate", "--gt", "x", "--pred", "y", "--out", "z",
@@ -196,3 +226,25 @@ class TestSynth:
         path_a = a.joinpath(*rel)
         path_b = b.joinpath(*rel)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+class TestGoldenReport:
+    def test_report_bytes_at_one_and_two_jobs(self, tmp_path):
+        """Three synth datasets scored together give the committed report
+        bytes, whatever the worker count."""
+        root = tmp_path / "data"
+        for seed, name in ((3, "ovis"), (8, "mot17"), (11, "mot20")):
+            assert main(["synth", "--out", str(root), "--dataset", name,
+                         "--seed", str(seed), "--queries", "6",
+                         "--id-switch-prob", "0.2", "--box-jitter", "1.5",
+                         "--drop-prob", "0.1", "--segment-noise", "2",
+                         "--distractors", "2"]) == EXIT_OK
+        golden = (Path(__file__).parent / "golden" / "report.json"
+                  ).read_bytes()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"report{jobs}.json"
+            assert main(["evaluate", "--gt", str(root / "gt"),
+                         "--pred", str(root / "pred"),
+                         "--datasets", "ovis,mot17,mot20",
+                         "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            assert out.read_bytes() == golden

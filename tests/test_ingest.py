@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svageval.ingest import (
     DatasetSplit,
@@ -8,7 +11,7 @@ from svageval.ingest import (
     IngestError,
     VideoGroundTruth,
     compute_stats,
-    load_ground_truth,
+    load_split,
     parse_prediction_bundle,
     parse_query_json,
     parse_track_csv,
@@ -23,7 +26,12 @@ from svageval.model import (
     TemporalSegment,
     Track,
 )
-from svageval.synth import generate_count_bundle
+from svageval.synth import (
+    ScenarioSpec,
+    generate,
+    generate_count_bundle,
+    write_split,
+)
 
 
 class TestParseTrackCsv:
@@ -263,20 +271,35 @@ class TestComputeStats:
 
 
 class TestLoadRoundTrip:
-    def test_write_then_load_then_write_is_fixpoint(self, tmp_path):
-        from svageval.synth import ScenarioSpec, generate, write_split
-        bundle, preds = generate(ScenarioSpec(seed=5, queries=3))
-        write_split(tmp_path / "a", "ovis", bundle, preds)
-        loaded = load_ground_truth(tmp_path / "a" / "gt", "ovis")
-        assert set(loaded.videos) == set(bundle.videos)
-        video = loaded.videos["video0001"]
-        orig = bundle.videos["video0001"]
-        assert list(video.tracks) == list(orig.tracks)
-        assert video.queries == orig.queries
-        # serialize the reloaded bundle: bytes must match the first write
-        write_split(tmp_path / "b", "ovis", loaded)
-        first = (tmp_path / "a" / "gt" / "ovis" / "video0001" /
-                 "gt.txt").read_bytes()
-        second = (tmp_path / "b" / "gt" / "ovis" / "video0001" /
-                  "gt.txt").read_bytes()
-        assert first == second
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.builds(
+        ScenarioSpec,
+        seed=st.integers(0, 2**32),
+        frames=st.integers(1, 50),
+        gt_tracks=st.integers(1, 4),
+        queries=st.integers(1, 6),
+        box_jitter=st.floats(0, 5),
+        id_switch_prob=st.floats(0, 1),
+        drop_prob=st.floats(0, 1),
+        segment_noise=st.integers(0, 5),
+        distractor_tracks=st.integers(0, 4)))
+    def test_write_then_load_then_write_is_fixpoint(self, spec):
+        """Any generated split, predictions included, loads back equal and
+        without diagnostics, and writing it again gives the same bytes."""
+        bundle, preds = generate(spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a"), Path(tmp, "b")
+            write_split(first, "ovis", bundle, preds)
+            loaded, diagnostics = load_split(first / "gt", first / "pred",
+                                             "ovis")
+            assert diagnostics == [] and validate_split(loaded) == []
+            assert loaded.bundle.videos == bundle.videos
+            assert loaded.predictions == preds
+            # serialize the reloaded split: bytes must match the first write
+            write_split(second, "ovis", loaded.bundle, loaded.predictions)
+            files = sorted(p.relative_to(first)
+                           for p in first.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(second)
+                                   for p in second.rglob("*") if p.is_file())
+            for rel in files:
+                assert (first / rel).read_bytes() == (second / rel).read_bytes()

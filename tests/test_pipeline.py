@@ -2,9 +2,17 @@ import dataclasses
 
 import pytest
 
+from svageval import pipeline
 from svageval.ingest import DatasetSplit
-from svageval.pipeline import evaluate_split
+from svageval.model import Referent, TemporalSegment
+from svageval.pipeline import evaluate_datasets
 from svageval.synth import ScenarioSpec, generate
+
+
+def _split(name="synth"):
+    bundle, predictions = generate(ScenarioSpec(
+        seed=3, queries=4, id_switch_prob=0.2, box_jitter=1.5))
+    return DatasetSplit(name, bundle, predictions)
 
 
 class TestEvaluateSplit:
@@ -18,4 +26,49 @@ class TestEvaluateSplit:
         split = DatasetSplit("synth", bundle, predictions + [copy])
         with pytest.raises(ValueError,
                            match=f"{first.video_id}/{first.query_id}"):
-            evaluate_split(split, nms_threshold=0.7)
+            evaluate_datasets([split], 0.7)
+
+    def test_unresolved_referent_rejected(self):
+        """A referent without a GT track is refused, not scored without
+        its spatial part."""
+        split = _split()
+        video = split.bundle.videos["video0001"]
+        query = video.queries[0]
+        video.queries[0] = dataclasses.replace(
+            query, referents=query.referents
+            + (Referent(99, (TemporalSegment(1, 2),)),))
+        with pytest.raises(ValueError, match=(
+                f"synth/video0001/{query.query_id}: unresolved referent: "
+                f"track 99")):
+            evaluate_datasets([split], 0.7)
+
+    def test_orphan_prediction_set_rejected(self):
+        split = _split()
+        orphan = dataclasses.replace(split.predictions[0], query_id="q999")
+        split.predictions.append(orphan)
+        with pytest.raises(ValueError, match=(
+                f"synth/{orphan.video_id}/q999: orphan prediction")):
+            evaluate_datasets([split], 0.7)
+
+    def test_one_pool_for_all_datasets(self, monkeypatch):
+        """All datasets' queries go through a single worker pool."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        splits = [_split("ovis"), _split("mot17")]
+        pooled = evaluate_datasets(splits, 0.7, jobs=2)
+        assert pools == [2]
+        assert pooled == evaluate_datasets(splits, 0.7, jobs=1)
