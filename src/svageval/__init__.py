@@ -38,15 +38,7 @@ from .spatial import (
     match_at_alpha,
 )
 from .idmap import IdMap, TemporalPair, build_id_map, build_temporal_pairs
-from .temporal import (
-    average_precision,
-    evaluate_temporal,
-    map_at,
-    miou,
-    nms,
-    recall_at_k,
-    temporal_iou,
-)
+from .temporal import evaluate_temporal, nms, temporal_iou
 from .report import (
     DatasetReport,
     FinalReport,

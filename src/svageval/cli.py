@@ -111,6 +111,10 @@ def _dataset_names(arg: str) -> list[str]:
     if not names:
         raise IngestError("<args>", "", "--datasets must name at least one "
                                         "dataset")
+    for name in names:
+        if names.count(name) > 1:
+            raise IngestError("<args>", "", f"--datasets names {name!r} "
+                                            "more than once")
     return names
 
 

@@ -82,22 +82,16 @@ def build_id_map(match_05: AlphaMatchResult) -> IdMap:
     return result
 
 
-def build_temporal_pairs(id_map: IdMap, queries: list[Query],
+def build_temporal_pairs(id_map: IdMap, query: Query,
                          preds: PredictionSet | None) -> list[TemporalPair]:
-    """One pair per (query, referent), in query then referent order.
-    Unmapped referents (and referents whose mapped id carries no temporal
-    entry) yield pairs with empty predictions rather than being dropped."""
-    pairs = []
-    for query in queries:
-        for referent in query.referents:
-            candidates: tuple[ScoredSegment, ...] = ()
-            pid = id_map.mapping.get(referent.gt_track_id)
-            if pid is not None and preds is not None:
-                candidates = preds.temporal.get(pid, ())
-            pairs.append(TemporalPair(
+    """One pair per referent of the query, in referent order. Unmapped
+    referents (and referents whose mapped id carries no temporal entry)
+    yield pairs with empty predictions rather than being dropped."""
+    temporal = preds.temporal if preds is not None else {}
+    return [TemporalPair(
                 query_id=query.query_id,
                 gt_track_id=referent.gt_track_id,
                 gt_segments=referent.gt_segments,
-                predictions=candidates,
-            ))
-    return pairs
+                predictions=temporal.get(
+                    id_map.mapping.get(referent.gt_track_id), ()))
+            for referent in query.referents]

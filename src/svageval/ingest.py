@@ -1,7 +1,8 @@
 """Parsing and validation of ground-truth and prediction files.
 
 File formats:
-  - Box tracks: CSV lines ``frame,track_id,x,y,w,h[,score]`` (LF or CRLF).
+  - Box tracks: CSV lines ``frame,track_id,x,y,w,h[,score]`` (LF or CRLF)
+    of plain ASCII numbers, without digit-group underscores.
   - Queries: one JSON document per video,
     ``{"video_id": ..., "queries": [{"query_id", "text", "referents":
     [{"track_id", "segments": [[start, end], ...]}]}]}``.
@@ -115,6 +116,9 @@ def parse_track_csv(path, with_score: bool = False) -> list[Track]:
     for lineno, line in enumerate(lines, start=1):
         if line == "":
             raise IngestError(path, f"line {lineno}", "blank line")
+        if "_" in line or not line.isascii():
+            raise IngestError(path, f"line {lineno}",
+                              "underscore or non-ASCII character")
         parts = line.split(",")
         if len(parts) != expected:
             raise IngestError(
@@ -325,7 +329,10 @@ def load_ground_truth(root, dataset: str) -> GroundTruthBundle:
 def load_predictions(pred_root, dataset: str
                      ) -> tuple[list[PredictionSet], list[Diagnostic]]:
     """Load every ``<pred_root>/<dataset>/<video_id>/<query_id>/`` pair.
-    Missing prediction directories are tolerated (those queries score 0)."""
+    The root itself must be a directory; a missing dataset, video or query
+    directory under it is tolerated (those queries score 0)."""
+    if not Path(pred_root).is_dir():
+        raise IngestError(pred_root, "", "prediction root not found")
     base = Path(pred_root) / dataset
     predictions: list[PredictionSet] = []
     diagnostics: list[Diagnostic] = []

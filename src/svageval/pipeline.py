@@ -43,7 +43,7 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     pred_tracks = list(predset.tracks) if predset is not None else []
     components, match_05 = hota_sweep(gt_tracks, pred_tracks)
     id_map = build_id_map(match_05)
-    pairs = build_temporal_pairs(id_map, [query], predset)
+    pairs = build_temporal_pairs(id_map, query, predset)
     return components, pairs
 
 
@@ -70,6 +70,10 @@ def evaluate_datasets(splits, nms_threshold: float | None,
     score 0 (logged). The worker count changes wall time only, never
     output values."""
     splits = list(splits)
+    names = [split.name for split in splits]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"dataset {name!r} is given more than once")
     errors = [diag for split in splits for diag in validate_split(split)
               if diag.severity == "error"]
     if errors:

@@ -1,8 +1,16 @@
 """Temporal grounding metrics over referent pairs: R@k, mAP, mIoU, with
-optional temporal non-maximum suppression."""
+optional temporal non-maximum suppression.
+
+Each pair is scanned once. Its ranked candidates' IoUs against its
+ground-truth segments go into one table; one greedy-claim pass over that
+table per τ gives the pair's AP and the rank of its first hit, and the
+table's first row gives its top-1 IoU. ``evaluate_temporal`` reduces these
+per-pair values in pair order: R@k is the share of pairs whose first hit
+ranks at or below k, mAP the mean AP and mIoU the mean top-1 IoU.
+"""
 from __future__ import annotations
 
-from .idmap import TemporalPair, _rank_key
+from .idmap import _rank_key
 from .model import ScoredSegment, TemporalMetrics, TemporalSegment
 
 TAUS: tuple[float, ...] = (0.1, 0.3, 0.5)
@@ -32,69 +40,33 @@ def nms(candidates, threshold: float) -> list[ScoredSegment]:
     return kept
 
 
-def _is_hit(cand: ScoredSegment, gt_segments, tau: float) -> bool:
-    return any(temporal_iou(cand.segment, g) >= tau for g in gt_segments)
-
-
-def recall_at_k(pairs, k: int, tau: float) -> float:
-    """Fraction of pairs whose top-k candidates contain a segment with IoU
-    at least tau against some ground-truth segment."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no referents in scope")
-    hits = 0
-    for pair in pairs:
-        if any(_is_hit(c, pair.gt_segments, tau)
-               for c in pair.predictions[:k]):
-            hits += 1
-    return hits / len(pairs)
-
-
-def average_precision(pair: TemporalPair, tau: float) -> float:
-    """Ranked-retrieval AP with greedy one-to-one claiming of ground-truth
-    segments (highest-IoU unclaimed segment first). Reduces to
-    1/rank-of-first-hit for a single ground-truth segment."""
-    claimed: set[int] = set()
-    hits = 0
-    total = 0.0
-    for rank, cand in enumerate(pair.predictions, start=1):
-        best_idx = -1
-        best_iou = 0.0
-        for idx, seg in enumerate(pair.gt_segments):
-            if idx in claimed:
-                continue
-            value = temporal_iou(cand.segment, seg)
-            if value >= tau and value > best_iou:
-                best_idx = idx
-                best_iou = value
-        if best_idx >= 0:
-            claimed.add(best_idx)
-            hits += 1
-            total += hits / rank
-    return total / len(pair.gt_segments)
-
-
-def map_at(pairs, tau: float) -> float:
-    """Unweighted mean of per-pair average precision."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no referents in scope")
-    return sum(average_precision(p, tau) for p in pairs) / len(pairs)
-
-
-def miou(pairs) -> float:
-    """Mean over pairs of the top-1 candidate's best IoU against ground
-    truth; pairs without predictions contribute 0."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no referents in scope")
-    total = 0.0
-    for pair in pairs:
-        if pair.predictions:
-            top = pair.predictions[0]
-            total += max(temporal_iou(top.segment, g)
-                         for g in pair.gt_segments)
-    return total / len(pairs)
+def _scan(gt_segments, ranked
+          ) -> tuple[dict[float, int], dict[float, float], float]:
+    """One referent's first-hit rank (absent without a hit) and AP at each
+    τ, and its top-1 IoU (0 without candidates). AP claims one-to-one:
+    each candidate takes the unclaimed ground-truth segment of highest IoU
+    at least τ, so the first claim is the first hit, and a single segment
+    gives 1/rank-of-first-hit."""
+    table = [[temporal_iou(c.segment, g) for g in gt_segments]
+             for c in ranked]
+    first_hit: dict[float, int] = {}
+    ap: dict[float, float] = {}
+    for tau in TAUS:
+        claimed: set[int] = set()
+        total = 0.0
+        for rank, row in enumerate(table, start=1):
+            best_idx = -1
+            best_iou = 0.0
+            for idx, value in enumerate(row):
+                if value >= tau and value > best_iou and idx not in claimed:
+                    best_idx = idx
+                    best_iou = value
+            if best_idx >= 0:
+                claimed.add(best_idx)
+                first_hit.setdefault(tau, rank)
+                total += len(claimed) / rank
+        ap[tau] = total / len(gt_segments)
+    return first_hit, ap, max(table[0]) if table else 0.0
 
 
 def evaluate_temporal(pairs, nms_threshold: float | None = None
@@ -104,20 +76,15 @@ def evaluate_temporal(pairs, nms_threshold: float | None = None
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no referents in scope")
-    if nms_threshold is not None:
-        pairs = [
-            TemporalPair(
-                query_id=p.query_id,
-                gt_track_id=p.gt_track_id,
-                gt_segments=p.gt_segments,
-                predictions=tuple(nms(p.predictions, nms_threshold)),
-            )
-            for p in pairs
-        ]
+    scans = [_scan(p.gt_segments, p.predictions if nms_threshold is None
+                   else nms(p.predictions, nms_threshold)) for p in pairs]
+    n = len(scans)
+    recall = {k: {tau: sum(1 for first_hit, _, _ in scans
+                           if first_hit.get(tau, k + 1) <= k) / n
+                  for tau in TAUS}
+              for k in RECALL_KS}
     return TemporalMetrics(
-        r1={tau: recall_at_k(pairs, 1, tau) for tau in TAUS},
-        r5={tau: recall_at_k(pairs, 5, tau) for tau in TAUS},
-        r10={tau: recall_at_k(pairs, 10, tau) for tau in TAUS},
-        map_at={tau: map_at(pairs, tau) for tau in TAUS},
-        miou=miou(pairs),
+        r1=recall[1], r5=recall[5], r10=recall[10],
+        map_at={tau: sum(ap[tau] for _, ap, _ in scans) / n for tau in TAUS},
+        miou=sum(top1 for _, _, top1 in scans) / n,
     )

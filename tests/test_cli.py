@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svageval.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
@@ -155,6 +158,45 @@ class TestEvaluate:
         assert code == EXIT_IO
         assert f"error: {path}: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "validate", "stats"])
+    def test_repeated_dataset_exits_one(self, tmp_path, capsys, command):
+        """A dataset named twice is refused, not scored and weighted
+        twice."""
+        root = tmp_path / "data"
+        for seed, name in ((3, "ovis"), (8, "mot17")):
+            assert main(["synth", "--out", str(root), "--dataset", name,
+                         "--seed", str(seed), "--queries", "4"]) == EXIT_OK
+        args = [command, "--gt", str(root / "gt"),
+                "--datasets", "ovis,mot17,ovis"]
+        if command == "evaluate":
+            args += ["--pred", str(root / "pred"),
+                     "--out", str(tmp_path / "r.json")]
+        assert main(args) == EXIT_IO
+        assert "'ovis' more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "validate"])
+    def test_missing_prediction_root_exits_one(self, tmp_path, capsys,
+                                               command):
+        data = _synth(tmp_path)
+        missing = tmp_path / "no-such-dir"
+        args = [command, "--gt", str(data / "gt"), "--pred", str(missing),
+                "--datasets", "ovis"]
+        if command == "evaluate":
+            args += ["--out", str(tmp_path / "r.json")]
+        assert main(args) == EXIT_IO
+        assert (f"error: {missing}: prediction root not found"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_missing_dataset_under_prediction_root_scores_zero(
+            self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        shutil.rmtree(data / "pred" / "ovis")
+        assert main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert "m-HIoU: 0.000" in capsys.readouterr().out
+
     def test_bad_nms_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["evaluate", "--gt", "x", "--pred", "y", "--out", "z",
@@ -248,3 +290,52 @@ class TestGoldenReport:
                          "--datasets", "ovis,mot17,mot20",
                          "--out", str(out), "--jobs", jobs]) == EXIT_OK
             assert out.read_bytes() == golden
+
+
+@pytest.fixture(scope="module")
+def clean_split(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean") / "data"
+    assert main(["synth", "--out", str(root), "--seed", "3",
+                 "--queries", "2"]) == EXIT_OK
+    return root
+
+
+MALFORMED_TOKENS = ["nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity",
+                    "", "1_0", "0_5", "\u0663", "\u096b", "\uff11",
+                    "1\u0660"]
+
+
+class TestMalformedPredictions:
+    """Any malformed number in a prediction CSV stops ``evaluate`` with
+    exit code 1 and names the file and the line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_field_exits_one_naming_file_and_line(self, clean_split,
+                                                            data):
+        paths = sorted((clean_split / "pred").rglob("pred.txt"))
+        path = data.draw(st.sampled_from(paths))
+        original = path.read_bytes()
+        lines = original.decode("utf-8").split("\n")[:-1]
+        if data.draw(st.booleans()):
+            lineno = 1
+            lines[0] = "\ufeff" + lines[0]
+        else:
+            lineno = data.draw(st.integers(1, len(lines)))
+            fields = lines[lineno - 1].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = \
+                data.draw(st.sampled_from(MALFORMED_TOKENS))
+            lines[lineno - 1] = ",".join(fields)
+        err = io.StringIO()
+        try:
+            path.write_bytes("".join(line + "\n" for line in lines)
+                             .encode("utf-8"))
+            with contextlib.redirect_stderr(err):
+                code = main(["evaluate", "--gt", str(clean_split / "gt"),
+                             "--pred", str(clean_split / "pred"),
+                             "--datasets", "ovis",
+                             "--out", str(clean_split / "r.json")])
+        finally:
+            path.write_bytes(original)
+        assert code == EXIT_IO
+        assert f"error: {path}:line {lineno}: " in err.getvalue()

@@ -97,7 +97,7 @@ class TestBuildTemporalPairs:
     def test_mapped_and_unmapped(self, unit_box):
         gt, preds, query = self._fixtures(unit_box)
         id_map = build_id_map(_match(gt, list(preds.tracks)))
-        pairs = build_temporal_pairs(id_map, [query], preds)
+        pairs = build_temporal_pairs(id_map, query, preds)
         assert len(pairs) == 2
         assert pairs[0].gt_track_id == 1
         assert pairs[0].predictions[0].score == 0.8
@@ -108,12 +108,12 @@ class TestBuildTemporalPairs:
     def test_missing_prediction_set(self, unit_box):
         gt, preds, query = self._fixtures(unit_box)
         id_map = build_id_map(_match(gt, list(preds.tracks)))
-        pairs = build_temporal_pairs(id_map, [query], None)
+        pairs = build_temporal_pairs(id_map, query, None)
         assert all(p.predictions == () for p in pairs)
 
     def test_mapped_id_without_temporal_entry(self, unit_box):
         gt, preds, query = self._fixtures(unit_box)
         bare = PredictionSet("q1", "v1", preds.tracks, {})
         id_map = build_id_map(_match(gt, list(preds.tracks)))
-        pairs = build_temporal_pairs(id_map, [query], bare)
+        pairs = build_temporal_pairs(id_map, query, bare)
         assert pairs[0].predictions == ()

@@ -84,6 +84,17 @@ class TestParseTrackCsv:
         with pytest.raises(IngestError, match="byte 16: invalid UTF-8"):
             parse_track_csv(path)
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11",
+                                       "1\u00a0"])
+    def test_underscore_or_non_ascii_located(self, tmp_path, token):
+        """``int`` and ``float`` would read these as numbers."""
+        path = tmp_path / "gt.txt"
+        path.write_text(f"1,3,10,20,30,40\n2,3,{token},20,30,40\n",
+                        encoding="utf-8")
+        with pytest.raises(IngestError,
+                           match="line 2: underscore or non-ASCII"):
+            parse_track_csv(path)
+
     def test_lone_cr_ends_a_line(self, tmp_path):
         path = tmp_path / "gt.txt"
         path.write_bytes(b"1,3,10,20,30,40\r2,3,10,20,30,40\r")

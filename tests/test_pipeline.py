@@ -50,6 +50,13 @@ class TestEvaluateSplit:
                 f"synth/{orphan.video_id}/q999: orphan prediction")):
             evaluate_datasets([split], 0.7)
 
+    def test_repeated_dataset_rejected(self):
+        """A split given twice is refused, not weighted twice in the
+        cross-dataset mean."""
+        with pytest.raises(ValueError, match="'ovis' is given more than once"):
+            evaluate_datasets([_split("ovis"), _split("mot17"),
+                               _split("ovis")], 0.7)
+
     def test_one_pool_for_all_datasets(self, monkeypatch):
         """All datasets' queries go through a single worker pool."""
         pools = []

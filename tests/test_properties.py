@@ -5,13 +5,25 @@ here, so these properties pin down the behavior class instead: exact
 agreement with brute-force oracles, the per-threshold geometric-mean
 identity, bounds, determinism, and input-order invariance.
 """
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from svageval.model import BoundingBox, Detection, Track
+from svageval.ingest import VideoGroundTruth
+from svageval.model import (
+    BoundingBox,
+    Detection,
+    PredictionSet,
+    Query,
+    Referent,
+    ScoredSegment,
+    TemporalSegment,
+    Track,
+)
+from svageval.pipeline import evaluate_query
 from svageval.spatial import (
     ALPHAS,
     AlphaMatchResult,
@@ -104,6 +116,25 @@ def _with_twins(tracks):
                                       for t in tracks})
 
 
+def _alternating(tracks):
+    """Each track split into its odd and its even frames, the even ones
+    under the id + 200, so that a referent's vote can tie."""
+    halves = []
+    for track in tracks:
+        for parity, offset in ((1, 0), (0, 200)):
+            tid = track.track_id + offset
+            dets = tuple(Detection(d.frame, tid, d.box, d.score)
+                         for d in track.detections if d.frame % 2 == parity)
+            if dets:
+                halves.append(Track(tid, dets))
+    return halves
+
+
+def _segment(rng, longest):
+    start = rng.randint(1, 8)
+    return TemporalSegment(start, start + rng.randint(0, longest))
+
+
 class TestIdRenaming:
     """Tie-breaks look only at the order of ids, never at their values.
     The tracks of one side or both get identical twins, so exact ties,
@@ -128,6 +159,53 @@ class TestIdRenaming:
             FrameMatch(fm.frame, tuple((gt_map[g], pred_map[p], iou)
                                        for g, p, iou in fm.matches))
             for fm in match_05.frames))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), data=st.data())
+    def test_renaming_leaves_query_scores_unchanged(self, rng, data):
+        """``evaluate_query`` gives the same components, and the same
+        temporal pairs up to the renamed ``gt_track_id``. The predictions
+        include a copy of every GT track, the predicted tracks may
+        alternate frame by frame between two ids, and each predicted
+        track carries candidates of its own, so the vote's tie-break
+        decides which candidates a referent gets."""
+        gt, pred = _scenario(rng)
+        assume(gt)
+        pred = pred + _renamed(gt, {t.track_id: t.track_id + 50 for t in gt})
+        if data.draw(st.booleans()):
+            pred = _alternating(pred)
+        twins = data.draw(st.sampled_from(("gt", "pred", "both")))
+        if twins != "pred":
+            gt = _with_twins(gt)
+        if twins != "gt":
+            pred = _with_twins(pred)
+        segments = {t.track_id: (_segment(rng, 3),) for t in gt}
+        temporal = {t.track_id: tuple(
+            ScoredSegment(_segment(rng, 6), round(rng.random(), 1))
+            for _ in range(rng.randint(0, 4))) for t in pred}
+
+        def score(gt_map, pred_map):
+            video = VideoGroundTruth("v", {
+                t.track_id: t for t in _renamed(gt, gt_map)}, [])
+            query = Query("q", "v", "", tuple(
+                Referent(gt_map[gid], segs) for gid, segs in segments.items()))
+            predset = PredictionSet("q", "v", _renamed(pred, pred_map), {
+                pred_map[pid]: cands for pid, cands in temporal.items()})
+            return evaluate_query(video, query, predset)
+
+        gt_map = _increasing_map(data, [t.track_id for t in gt])
+        pred_map = _increasing_map(data, [t.track_id for t in pred])
+        components, pairs = score({g: g for g in gt_map},
+                                  {p: p for p in pred_map})
+        renamed, renamed_pairs = score(gt_map, pred_map)
+        assert renamed == components
+        assert renamed_pairs == [
+            dataclasses.replace(p, gt_track_id=gt_map[p.gt_track_id])
+            for p in pairs]
+        for threshold in (None, 0.7):
+            assert (evaluate_temporal(renamed_pairs, threshold)
+                    == evaluate_temporal(pairs, threshold))
 
 
 class TestStructuralMonotonicity:
@@ -163,6 +241,18 @@ class TestNmsProperties:
             for pair in random_pairs(rng):
                 kept = nms(pair.predictions, rng.random())
                 assert set(kept) <= set(pair.predictions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), threshold=st.floats(0, 1))
+    def test_nms_path_matches_oracle(self, rng, threshold):
+        """``evaluate_temporal`` with a threshold scores exactly what the
+        oracle scores on the suppressed candidates."""
+        pairs = random_pairs(rng)
+        suppressed = [dataclasses.replace(
+            p, predictions=tuple(nms(p.predictions, threshold)))
+            for p in pairs]
+        assert (evaluate_temporal(pairs, threshold)
+                == oracle_temporal(suppressed))
 
     def test_recall_never_drops_at_higher_k(self):
         rng = random.Random(37)

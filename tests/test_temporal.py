@@ -7,12 +7,8 @@ from svageval.model import ScoredSegment, TemporalSegment
 from svageval.temporal import (
     RECALL_KS,
     TAUS,
-    average_precision,
     evaluate_temporal,
-    map_at,
-    miou,
     nms,
-    recall_at_k,
     temporal_iou,
 )
 
@@ -53,46 +49,56 @@ class TestRecall:
     def test_hit_counts_once_per_pair(self):
         pair = TemporalPair("q", 1, (seg(1, 10),), (
             cand(1, 10, 0.9), cand(1, 10, 0.8)))
-        assert recall_at_k([pair], 1, 0.5) == 1.0
+        assert evaluate_temporal([pair]).r1[0.5] == 1.0
 
     def test_top1_miss_top5_hit(self):
         pair = TemporalPair("q", 1, (seg(1, 10),), (
             cand(50, 60, 0.9), cand(1, 10, 0.4)))
-        assert recall_at_k([pair], 1, 0.5) == 0.0
-        assert recall_at_k([pair], 5, 0.5) == 1.0
+        m = evaluate_temporal([pair])
+        assert m.r1[0.5] == 0.0
+        assert m.r5[0.5] == 1.0
+
+    def test_first_hit_at_rank_six(self):
+        misses = tuple(cand(40 + 10 * i, 45 + 10 * i, 0.9 - 0.1 * i)
+                       for i in range(5))
+        pair = TemporalPair("q", 1, (seg(1, 10),),
+                            misses + (cand(1, 10, 0.1),))
+        m = evaluate_temporal([pair])
+        assert (m.r1[0.5], m.r5[0.5], m.r10[0.5]) == (0.0, 0.0, 1.0)
+
+    def test_no_hit_counts_nowhere(self):
+        pair = TemporalPair("q", 1, (seg(1, 10),), (cand(50, 60, 0.9),))
+        m = evaluate_temporal([pair])
+        assert (m.r1[0.1], m.r5[0.1], m.r10[0.1]) == (0.0, 0.0, 0.0)
 
     def test_threshold_inclusive(self):
         # IoU exactly 0.5: [1,10] vs [1,5] -> 5/10
         pair = TemporalPair("q", 1, (seg(1, 10),), (cand(1, 5, 0.9),))
-        assert recall_at_k([pair], 1, 0.5) == 1.0
+        assert evaluate_temporal([pair]).r1[0.5] == 1.0
 
     def test_any_gt_segment_counts(self):
         pair = TemporalPair("q", 1, (seg(1, 5), seg(50, 60)),
                             (cand(50, 60, 0.9),))
-        assert recall_at_k([pair], 1, 0.5) == 1.0
-
-    def test_empty_scope_rejected(self):
-        with pytest.raises(ValueError, match="no referents"):
-            recall_at_k([], 1, 0.5)
+        assert evaluate_temporal([pair]).r1[0.5] == 1.0
 
 
 class TestAveragePrecision:
     def test_single_gt_first_hit_rank_three(self):
         pair = TemporalPair("q", 1, (seg(1, 10),), (
             cand(40, 50, 0.9), cand(60, 70, 0.8), cand(1, 10, 0.7)))
-        assert average_precision(pair, 0.5) == pytest.approx(1 / 3)
+        assert evaluate_temporal([pair]).map_at[0.5] == pytest.approx(1 / 3)
 
     def test_two_gt_hits_at_ranks_one_and_four(self):
         pair = TemporalPair("q", 1, (seg(1, 10), seg(30, 40)), (
             cand(1, 10, 0.9), cand(60, 70, 0.8), cand(80, 90, 0.7),
             cand(30, 40, 0.6)))
         # (1/1 + 2/4) / 2
-        assert average_precision(pair, 0.5) == 0.75
+        assert evaluate_temporal([pair]).map_at[0.5] == 0.75
 
     def test_gt_claimed_only_once(self):
         pair = TemporalPair("q", 1, (seg(1, 10),), (
             cand(1, 10, 0.9), cand(1, 10, 0.8)))
-        assert average_precision(pair, 0.5) == 1.0
+        assert evaluate_temporal([pair]).map_at[0.5] == 1.0
 
     def test_claims_highest_iou_unclaimed_gt(self):
         # candidate overlaps both GT segments; it must claim the closer one,
@@ -100,11 +106,11 @@ class TestAveragePrecision:
         pair = TemporalPair("q", 1, (seg(1, 10), seg(11, 20)), (
             cand(3, 12, 0.9),   # IoU 8/12 with gt0, 2/18 with gt1
             cand(11, 20, 0.8)))
-        assert average_precision(pair, 0.1) == pytest.approx(1.0)
+        assert evaluate_temporal([pair]).map_at[0.1] == pytest.approx(1.0)
 
     def test_no_candidates(self):
         pair = TemporalPair("q", 1, (seg(1, 10),), ())
-        assert average_precision(pair, 0.5) == 0.0
+        assert evaluate_temporal([pair]).map_at[0.5] == 0.0
 
     def test_map_example(self):
         pairs = [
@@ -115,21 +121,22 @@ class TestAveragePrecision:
                 cand(1, 10, 0.9), cand(60, 70, 0.8), cand(80, 90, 0.7),
                 cand(30, 40, 0.6))),
         ]
-        assert map_at(pairs, 0.5) == pytest.approx((1.0 + 1 / 3 + 0.75) / 3)
+        assert evaluate_temporal(pairs).map_at[0.5] == pytest.approx(
+            (1.0 + 1 / 3 + 0.75) / 3)
 
 
 class TestMiou:
     def test_top1_best_gt(self):
         pair = TemporalPair("q", 1, (seg(1, 10), seg(30, 40)),
                             (cand(28, 40, 0.9),))
-        assert miou([pair]) == pytest.approx(11 / 13)
+        assert evaluate_temporal([pair]).miou == pytest.approx(11 / 13)
 
     def test_empty_candidates_contribute_zero(self):
         pairs = [
             TemporalPair("a", 1, (seg(1, 10),), (cand(1, 10, 0.9),)),
             TemporalPair("b", 1, (seg(1, 10),), ()),
         ]
-        assert miou(pairs) == 0.5
+        assert evaluate_temporal(pairs).miou == 0.5
 
 
 class TestNms:
