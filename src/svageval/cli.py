@@ -130,7 +130,17 @@ def _load_and_validate(args):
     return splits, diagnostics
 
 
+def _check_out(out: str) -> None:
+    """Refuse a report path that cannot be written before anything is
+    scored, so a long run is not lost at the end."""
+    if Path(out).is_dir():
+        raise IngestError(out, "", "--out is a directory")
+    if not Path(out).parent.is_dir():
+        raise IngestError(out, "", "--out: parent directory not found")
+
+
 def cmd_evaluate(args) -> int:
+    _check_out(args.out)
     splits, diagnostics = _load_and_validate(args)
     for diag in diagnostics:
         print(diag, file=sys.stderr)

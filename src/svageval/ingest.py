@@ -14,13 +14,18 @@ Directory layout:
   - Predictions: ``<pred_root>/<dataset>/<video_id>/<query_id>/pred.txt``
     and ``pred_temporal.json``.
 
-Every parse error carries the file path plus a line number or JSON path.
+Rules are owned in two places. The constructors in :mod:`svageval.model`
+decide whether a value is valid (a positive width, a frame >= 1, a
+non-empty referent list) and name the field; this module decides where
+the value was read and raises :class:`IngestError` with the file path
+plus a ``line N`` or a ``$.``-rooted JSON path. What only the file format
+knows stays here: field counts, plain-ASCII numbers, JSON types, the
+``[start, end]`` pair, duplicate lines and entries, and directory names.
 Unknown extra JSON fields are ignored (forward compatibility).
 """
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,8 +41,6 @@ from .model import (
     Track,
     ValidationError,
 )
-
-log = logging.getLogger(__name__)
 
 GT_TRACKS_FILENAME = "gt.txt"
 QUERIES_FILENAME = "queries.json"
@@ -114,51 +117,29 @@ def parse_track_csv(path, with_score: bool = False) -> list[Track]:
     if lines and lines[-1] == "":
         lines.pop()  # optional trailing newline
     for lineno, line in enumerate(lines, start=1):
+        where = f"line {lineno}"
         if line == "":
-            raise IngestError(path, f"line {lineno}", "blank line")
+            raise IngestError(path, where, "blank line")
         if "_" in line or not line.isascii():
-            raise IngestError(path, f"line {lineno}",
-                              "underscore or non-ASCII character")
+            raise IngestError(path, where, "underscore or non-ASCII character")
         parts = line.split(",")
         if len(parts) != expected:
             raise IngestError(
-                path, f"line {lineno}",
+                path, where,
                 f"expected {expected} comma-separated fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
-            track_id = int(parts[1])
-        except ValueError as exc:
-            raise IngestError(path, f"line {lineno}",
-                              f"non-integer frame or track_id: {exc}") from exc
-        try:
-            x, y, w, h = (float(parts[i]) for i in range(2, 6))
-        except ValueError as exc:
-            raise IngestError(path, f"line {lineno}",
-                              f"non-numeric box field: {exc}") from exc
-        score = None
-        if with_score:
-            try:
-                score = float(parts[6])
-            except ValueError as exc:
-                raise IngestError(path, f"line {lineno}",
-                                  f"non-numeric score: {exc}") from exc
-        if w <= 0:
-            raise IngestError(path, f"line {lineno}",
-                              f"non-positive width at line {lineno}")
-        if h <= 0:
-            raise IngestError(path, f"line {lineno}",
-                              f"non-positive height at line {lineno}")
-        try:
-            det = Detection(frame=frame, track_id=track_id,
-                            box=BoundingBox(x=x, y=y, w=w, h=h), score=score)
-        except ValidationError as exc:
-            raise IngestError(path, f"line {lineno}", str(exc)) from exc
-        frames = per_track.setdefault(track_id, {})
-        if frame in frames:
+            det = Detection(
+                frame=int(parts[0]), track_id=int(parts[1]),
+                box=BoundingBox(*map(float, parts[2:6])),
+                score=float(parts[6]) if with_score else None)
+        except ValueError as exc:  # a ValidationError also names the field
+            raise IngestError(path, where, str(exc)) from exc
+        frames = per_track.setdefault(det.track_id, {})
+        if det.frame in frames:
             raise IngestError(
-                path, f"line {lineno}",
-                f"duplicate detection for (frame {frame}, track {track_id})")
-        frames[frame] = det
+                path, where, f"duplicate detection for (frame {det.frame}, "
+                             f"track {det.track_id})")
+        frames[det.frame] = det
     return [
         Track(track_id=tid,
               detections=tuple(dets[f] for f in sorted(dets)))
@@ -198,28 +179,35 @@ def _get(data: dict, key: str, kind, path, where: str):
     return value
 
 
+def _objects(data: dict, key: str, path, where: str):
+    """``(json_path, item)`` for each item of the list field ``key``; an
+    item that is not an object is an error at its path."""
+    for i, item in enumerate(_get(data, key, list, path, where)):
+        item_where = f"{where}.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise IngestError(path, item_where, "expected object")
+        yield item_where, item
+
+
+def _build(path, where: str, kind, *args):
+    """``kind(*args)``, with its ValidationError raised again at ``where``."""
+    try:
+        return kind(*args)
+    except ValidationError as exc:
+        raise IngestError(path, where, str(exc)) from exc
+
+
 def parse_query_json(path) -> list[Query]:
     """Parse one video's query annotations."""
     path = Path(path)
     data = _json_load(path)
     video_id = _get(data, "video_id", str, path, "$")
-    raw_queries = _get(data, "queries", list, path, "$")
     queries = []
-    for qi, raw_q in enumerate(raw_queries):
-        where = f"$.queries[{qi}]"
-        if not isinstance(raw_q, dict):
-            raise IngestError(path, where, "expected object")
+    for where, raw_q in _objects(data, "queries", path, "$"):
         query_id = _get(raw_q, "query_id", str, path, where)
         text = _get(raw_q, "text", str, path, where)
-        raw_refs = _get(raw_q, "referents", list, path, where)
-        if not raw_refs:
-            raise IngestError(path, f"{where}.referents",
-                              "referents must be non-empty")
         referents = []
-        for ri, raw_r in enumerate(raw_refs):
-            rwhere = f"{where}.referents[{ri}]"
-            if not isinstance(raw_r, dict):
-                raise IngestError(path, rwhere, "expected object")
+        for rwhere, raw_r in _objects(raw_q, "referents", path, where):
             track_id = _get(raw_r, "track_id", int, path, rwhere)
             raw_segs = _get(raw_r, "segments", list, path, rwhere)
             segments = []
@@ -230,21 +218,11 @@ def parse_query_json(path) -> list[Query]:
                                    not isinstance(v, bool) for v in raw_s)):
                     raise IngestError(path, swhere,
                                       "expected a [start, end] integer pair")
-                start, end = raw_s
-                try:
-                    segments.append(TemporalSegment(start=start, end=end))
-                except ValidationError as exc:
-                    raise IngestError(path, swhere, str(exc)) from exc
-            try:
-                referents.append(Referent(gt_track_id=track_id,
-                                          gt_segments=tuple(segments)))
-            except ValidationError as exc:
-                raise IngestError(path, rwhere, str(exc)) from exc
-        try:
-            queries.append(Query(query_id=query_id, video_id=video_id,
-                                 text=text, referents=tuple(referents)))
-        except ValidationError as exc:
-            raise IngestError(path, where, str(exc)) from exc
+                segments.append(_build(path, swhere, TemporalSegment, *raw_s))
+            referents.append(_build(path, rwhere, Referent, track_id,
+                                    tuple(segments)))
+        queries.append(_build(path, where, Query, query_id, video_id, text,
+                              tuple(referents)))
     return queries
 
 
@@ -259,44 +237,39 @@ def parse_prediction_bundle(track_csv_path, temporal_json_path
     data = _json_load(path)
     query_id = _get(data, "query_id", str, path, "$")
     video_id = _get(data, "video_id", str, path, "$")
-    raw_tracks = _get(data, "tracks", list, path, "$")
     temporal: dict[int, tuple[ScoredSegment, ...]] = {}
     warnings: list[Diagnostic] = []
-    for ti, raw_t in enumerate(raw_tracks):
-        where = f"$.tracks[{ti}]"
-        if not isinstance(raw_t, dict):
-            raise IngestError(path, where, "expected object")
+    for where, raw_t in _objects(data, "tracks", path, "$"):
         track_id = _get(raw_t, "track_id", int, path, where)
-        raw_segs = _get(raw_t, "segments", list, path, where)
         segments = []
-        for si, raw_s in enumerate(raw_segs):
-            swhere = f"{where}.segments[{si}]"
-            if not isinstance(raw_s, dict):
-                raise IngestError(path, swhere, "expected object")
+        for swhere, raw_s in _objects(raw_t, "segments", path, where):
             start = _get(raw_s, "start", int, path, swhere)
             end = _get(raw_s, "end", int, path, swhere)
             score = _get(raw_s, "score", float, path, swhere)
-            try:
-                segments.append(ScoredSegment(
-                    segment=TemporalSegment(start=start, end=end),
-                    score=score))
-            except ValidationError as exc:
-                raise IngestError(path, swhere, str(exc)) from exc
+            segment = _build(path, swhere, TemporalSegment, start, end)
+            segments.append(_build(path, swhere, ScoredSegment, segment,
+                                   score))
         if track_id in temporal:
             raise IngestError(path, where,
                               f"duplicate temporal entry for track {track_id}")
         if track_id not in known:
-            diag = Diagnostic(
+            warnings.append(Diagnostic(
                 severity="warning", location=str(path),
                 message=f"temporal entry for unknown predicted track "
-                        f"{track_id} dropped")
-            warnings.append(diag)
-            log.warning("%s", diag)
+                        f"{track_id} dropped"))
             continue
         temporal[track_id] = tuple(segments)
     return (PredictionSet(query_id=query_id, video_id=video_id,
                           tracks=tuple(tracks), temporal=temporal),
             warnings)
+
+
+def _match_directory(path, key: str, value: str, directory: Path) -> None:
+    """A JSON id must name the directory its file sits under."""
+    if value != directory.name:
+        raise IngestError(path, f"$.{key}",
+                          f"{key} {value!r} does not match directory "
+                          f"{directory.name!r}")
 
 
 def load_ground_truth(root, dataset: str) -> GroundTruthBundle:
@@ -311,13 +284,11 @@ def load_ground_truth(root, dataset: str) -> GroundTruthBundle:
     for video_dir in video_dirs:
         video_id = video_dir.name
         tracks = parse_track_csv(video_dir / GT_TRACKS_FILENAME)
-        queries = parse_query_json(video_dir / QUERIES_FILENAME)
+        queries_path = video_dir / QUERIES_FILENAME
+        queries = parse_query_json(queries_path)
         for query in queries:
-            if query.video_id != video_id:
-                raise IngestError(
-                    video_dir / QUERIES_FILENAME, "$.video_id",
-                    f"video_id {query.video_id!r} does not match directory "
-                    f"{video_id!r}")
+            _match_directory(queries_path, "video_id", query.video_id,
+                             video_dir)
         bundle.videos[video_id] = VideoGroundTruth(
             video_id=video_id,
             tracks={t.track_id: t for t in tracks},
@@ -350,16 +321,10 @@ def load_predictions(pred_root, dataset: str
             predset, warnings = parse_prediction_bundle(track_path,
                                                         temporal_path)
             diagnostics.extend(warnings)
-            if predset.video_id != video_dir.name:
-                raise IngestError(
-                    temporal_path, "$.video_id",
-                    f"video_id {predset.video_id!r} does not match directory "
-                    f"{video_dir.name!r}")
-            if predset.query_id != query_dir.name:
-                raise IngestError(
-                    temporal_path, "$.query_id",
-                    f"query_id {predset.query_id!r} does not match directory "
-                    f"{query_dir.name!r}")
+            _match_directory(temporal_path, "video_id", predset.video_id,
+                             video_dir)
+            _match_directory(temporal_path, "query_id", predset.query_id,
+                             query_dir)
             predictions.append(predset)
     return predictions, diagnostics
 

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import svageval
+from svageval import cli
 from svageval.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -197,10 +201,102 @@ class TestEvaluate:
                      "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert "m-HIoU: 0.000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out", ["missing/r.json", "file/r.json", "data"])
+    def test_unwritable_out_exits_one_before_scoring(self, tmp_path, capsys,
+                                                     monkeypatch, out):
+        """A report path that cannot be written is refused before any
+        query is scored."""
+        data = _synth(tmp_path)
+        (tmp_path / "file").write_text("")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("scored before --out was checked")
+        monkeypatch.setattr(cli, "evaluate_datasets", fail)
+        target = str(tmp_path / out)
+        assert main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", target]) == EXIT_IO
+        assert f"error: {target}: " in capsys.readouterr().err
+
     def test_bad_nms_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["evaluate", "--gt", "x", "--pred", "y", "--out", "z",
                   "--nms", "nope"])
+
+
+class TestWarningsOnce:
+    @pytest.mark.parametrize("command,expected", [("evaluate", EXIT_OK),
+                                                  ("validate",
+                                                   EXIT_VALIDATION)])
+    def test_unknown_temporal_track_warned_once(self, tmp_path, command,
+                                                expected):
+        """A loader warning is printed once, as a diagnostic line, and not
+        also through logging."""
+        data = _synth(tmp_path)
+        path = data / "pred" / "ovis" / "video0001" / "q001" / \
+            "pred_temporal.json"
+        doc = json.loads(path.read_text())
+        doc["tracks"].append({"track_id": 999, "segments": []})
+        path.write_text(json.dumps(doc))
+        args = [command, "--gt", str(data / "gt"), "--pred",
+                str(data / "pred"), "--datasets", "ovis"]
+        if command == "evaluate":
+            args += ["--out", str(tmp_path / "r.json")]
+        env = {**os.environ, "SVAGEVAL_LOG": "warn",
+               "PYTHONPATH": str(Path(svageval.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "svageval.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == expected
+        assert proc.stderr.count("unknown predicted track 999") == 1
+        assert (f"[warning] {path}: temporal entry for unknown predicted "
+                f"track 999 dropped\n") in proc.stderr
+
+
+class TestLineEndsAndEmptyFiles:
+    @staticmethod
+    def _evaluate(data, out):
+        return main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(out)])
+
+    def test_mixed_line_ends_in_gt_give_the_same_report(self, tmp_path):
+        data = _synth(tmp_path, id_switch_prob=0.2, box_jitter=1.5)
+        assert self._evaluate(data, tmp_path / "lf.json") == EXIT_OK
+        path = data / "gt" / "ovis" / "video0001" / "gt.txt"
+        lines = path.read_bytes().split(b"\n")[:-1]
+        ends = (b"\r\n", b"\n", b"\r")
+        path.write_bytes(b"".join(line + ends[i % 3]
+                                  for i, line in enumerate(lines)))
+        assert self._evaluate(data, tmp_path / "mixed.json") == EXIT_OK
+        assert (tmp_path / "lf.json").read_bytes() == \
+            (tmp_path / "mixed.json").read_bytes()
+
+    def test_empty_pred_txt_is_a_prediction_without_detections(
+            self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        (data / "pred" / "ovis" / "video0001" / "q001" / "pred.txt"
+         ).write_bytes(b"")
+        assert self._evaluate(data, tmp_path / "r.json") == EXIT_OK
+        captured = capsys.readouterr()
+        assert "incomplete prediction directory" not in captured.err
+        assert "m-HIoU: 100.000" not in captured.out
+
+    @pytest.mark.parametrize("name", ["gt/ovis/video0001/queries.json",
+                                      "pred/ovis/video0001/q001/"
+                                      "pred_temporal.json"])
+    def test_empty_json_exits_one_located(self, tmp_path, capsys, name):
+        data = _synth(tmp_path)
+        path = data / name
+        path.write_bytes(b"")
+        assert self._evaluate(data, tmp_path / "r.json") == EXIT_IO
+        assert f"error: {path}:line 1: " in capsys.readouterr().err
+
+    def test_empty_gt_txt_leaves_referents_unresolved(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        (data / "gt" / "ovis" / "video0001" / "gt.txt").write_bytes(b"")
+        assert self._evaluate(data, tmp_path / "r.json") == EXIT_VALIDATION
+        assert "unresolved referent" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -303,11 +399,92 @@ def clean_split(tmp_path_factory):
 MALFORMED_TOKENS = ["nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity",
                     "", "1_0", "0_5", "\u0663", "\u096b", "\uff11",
                     "1\u0660"]
+WRONG_TYPES = ["7", 7.5, True, None]
+NON_OBJECTS = [7, "x", [], None]
+
+
+def _evaluate_broken(root, path, text):
+    """``evaluate``'s exit code and standard error on ``root`` while
+    ``path`` holds ``text``; the file is restored afterwards."""
+    original = path.read_bytes()
+    err = io.StringIO()
+    try:
+        path.write_bytes(text.encode("utf-8"))
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--gt", str(root / "gt"),
+                         "--pred", str(root / "pred"), "--datasets", "ovis",
+                         "--out", str(root / "r.json")])
+    finally:
+        path.write_bytes(original)
+    return code, err.getvalue()
+
+
+def _break_csv(data, path):
+    """The CSV at ``path`` with one field replaced by a malformed token, or
+    with a byte-order mark in front, and the number of the broken line."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    if data.draw(st.booleans()):
+        lineno = 1
+        lines[0] = "\ufeff" + lines[0]
+    else:
+        lineno = data.draw(st.integers(1, len(lines)))
+        fields = lines[lineno - 1].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = \
+            data.draw(st.sampled_from(MALFORMED_TOKENS))
+        lines[lineno - 1] = ",".join(fields)
+    return "".join(line + "\n" for line in lines), lineno
+
+
+def _segment_faults(segment, start, end):
+    """Bad values for a segment's frames: wrong types, start > end and
+    negative frames."""
+    return [(segment, start,
+             WRONG_TYPES + [segment[end] + 1, -segment[start]]),
+            (segment, end,
+             WRONG_TYPES + [segment[start] - 1, -segment[end]])]
+
+
+def _query_faults(doc):
+    """``(container, key, bad values)`` for each field of a queries.json
+    document that a single bad value must make unparseable."""
+    faults = []
+    for i, query in enumerate(doc["queries"]):
+        faults += [(doc["queries"], i, NON_OBJECTS),
+                   (query, "referents", [[]])]
+        for j, referent in enumerate(query["referents"]):
+            faults += [(query["referents"], j, NON_OBJECTS),
+                       (referent, "track_id", WRONG_TYPES)]
+            for k, segment in enumerate(referent["segments"]):
+                faults += [(referent["segments"], k, NON_OBJECTS)]
+                faults += _segment_faults(segment, 0, 1)
+    return faults
+
+
+def _temporal_faults(doc):
+    """As :func:`_query_faults`, for a pred_temporal.json document."""
+    faults = []
+    for i, track in enumerate(doc["tracks"]):
+        faults += [(doc["tracks"], i, NON_OBJECTS),
+                   (track, "track_id", WRONG_TYPES)]
+        for k, segment in enumerate(track["segments"]):
+            faults += [(track["segments"], k, NON_OBJECTS)]
+            faults += _segment_faults(segment, "start", "end")
+    return faults
+
+
+def _break_json(data, path, faults_of):
+    """The JSON document at ``path`` with one field replaced by a bad
+    value."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    container, key, values = data.draw(st.sampled_from(faults_of(doc)))
+    container[key] = data.draw(st.sampled_from(values))
+    return json.dumps(doc)
 
 
 class TestMalformedPredictions:
-    """Any malformed number in a prediction CSV stops ``evaluate`` with
-    exit code 1 and names the file and the line."""
+    """Any malformed number in a prediction CSV, and any bad field in a
+    pred_temporal.json, stops ``evaluate`` with exit code 1 and names the
+    file and the line or JSON path."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -315,27 +492,42 @@ class TestMalformedPredictions:
                                                             data):
         paths = sorted((clean_split / "pred").rglob("pred.txt"))
         path = data.draw(st.sampled_from(paths))
-        original = path.read_bytes()
-        lines = original.decode("utf-8").split("\n")[:-1]
-        if data.draw(st.booleans()):
-            lineno = 1
-            lines[0] = "\ufeff" + lines[0]
-        else:
-            lineno = data.draw(st.integers(1, len(lines)))
-            fields = lines[lineno - 1].split(",")
-            fields[data.draw(st.integers(0, len(fields) - 1))] = \
-                data.draw(st.sampled_from(MALFORMED_TOKENS))
-            lines[lineno - 1] = ",".join(fields)
-        err = io.StringIO()
-        try:
-            path.write_bytes("".join(line + "\n" for line in lines)
-                             .encode("utf-8"))
-            with contextlib.redirect_stderr(err):
-                code = main(["evaluate", "--gt", str(clean_split / "gt"),
-                             "--pred", str(clean_split / "pred"),
-                             "--datasets", "ovis",
-                             "--out", str(clean_split / "r.json")])
-        finally:
-            path.write_bytes(original)
+        text, lineno = _break_csv(data, path)
+        code, err = _evaluate_broken(clean_split, path, text)
         assert code == EXIT_IO
-        assert f"error: {path}:line {lineno}: " in err.getvalue()
+        assert f"error: {path}:line {lineno}: " in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_temporal_field_exits_one_naming_file_and_path(
+            self, clean_split, data):
+        paths = sorted((clean_split / "pred").rglob("pred_temporal.json"))
+        path = data.draw(st.sampled_from(paths))
+        code, err = _evaluate_broken(
+            clean_split, path, _break_json(data, path, _temporal_faults))
+        assert code == EXIT_IO
+        assert f"error: {path}:$." in err
+
+
+class TestMalformedGroundTruth:
+    """The same for gt.txt and queries.json."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_field_exits_one_naming_file_and_line(self, clean_split,
+                                                            data):
+        path = clean_split / "gt" / "ovis" / "video0001" / "gt.txt"
+        text, lineno = _break_csv(data, path)
+        code, err = _evaluate_broken(clean_split, path, text)
+        assert code == EXIT_IO
+        assert f"error: {path}:line {lineno}: " in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_query_field_exits_one_naming_file_and_path(self, clean_split,
+                                                            data):
+        path = clean_split / "gt" / "ovis" / "video0001" / "queries.json"
+        code, err = _evaluate_broken(
+            clean_split, path, _break_json(data, path, _query_faults))
+        assert code == EXIT_IO
+        assert f"error: {path}:$." in err

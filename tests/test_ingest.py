@@ -47,7 +47,7 @@ class TestParseTrackCsv:
     def test_non_positive_width(self, tmp_path):
         path = tmp_path / "gt.txt"
         path.write_text("1,3,10,20,0,40\n")
-        with pytest.raises(IngestError, match="non-positive width at line 1"):
+        with pytest.raises(IngestError, match="line 1: w: must be positive"):
             parse_track_csv(path)
 
     def test_duplicate_frame(self, tmp_path):
