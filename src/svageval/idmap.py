@@ -7,13 +7,10 @@ scored segments of its mapped predicted track.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .model import PredictionSet, Query, ScoredSegment, TemporalSegment
 from .spatial import MAPPING_ALPHA, AlphaMatchResult
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,7 @@ def build_id_map(match_05: AlphaMatchResult) -> IdMap:
         tally = votes[gid]
         best = max(sorted(tally), key=lambda pid: tally[pid])
         mapping[gid] = best
-    result = IdMap(mapping=mapping, votes=votes)
-    duplicates = result.duplicate_winners()
-    if duplicates:
-        log.warning("predicted id(s) won the vote for multiple GT ids: %s",
-                    duplicates)
-    return result
+    return IdMap(mapping=mapping, votes=votes)
 
 
 def build_temporal_pairs(id_map: IdMap, query: Query,

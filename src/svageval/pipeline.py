@@ -37,6 +37,12 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     non-referent objects become false positives. A missing prediction set
     scores zero. Every referent must resolve to a GT track of the video,
     which ``validate_split`` checks."""
+    components, pairs, _ = _score_query(video, query, predset)
+    return components, pairs
+
+
+def _score_query(video, query, predset):
+    """``evaluate_query``'s components and pairs, and the identity map."""
     gt_tracks = [restrict_track(video.tracks[referent.gt_track_id],
                                 referent.gt_segments)
                  for referent in query.referents]
@@ -44,7 +50,7 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     components, match_05 = hota_sweep(gt_tracks, pred_tracks)
     id_map = build_id_map(match_05)
     pairs = build_temporal_pairs(id_map, query, predset)
-    return components, pairs
+    return components, pairs, id_map
 
 
 def _query_units(split: DatasetSplit):
@@ -58,8 +64,9 @@ def _query_units(split: DatasetSplit):
 
 
 def _evaluate_unit(unit):
-    video, query, predset = unit
-    return evaluate_query(video, query, predset)
+    """Components, temporal pairs and duplicate vote winners of a unit."""
+    components, pairs, id_map = _score_query(*unit)
+    return components, pairs, id_map.duplicate_winners()
 
 
 def evaluate_datasets(splits, nms_threshold: float | None,
@@ -98,10 +105,17 @@ def evaluate_datasets(splits, nms_threshold: float | None,
     reports = []
     for split, split_units in zip(splits, per_split):
         split_results = list(islice(results, len(split_units)))
-        pairs = [p for _, query_pairs in split_results for p in query_pairs]
+        for (video, query, _), (_, _, duplicates) in zip(split_units,
+                                                         split_results):
+            for pid in sorted(duplicates):
+                log.warning("%s/%s/%s: predicted id %d won the vote for GT "
+                            "ids %s", split.name, video.video_id,
+                            query.query_id, pid, duplicates[pid])
+        pairs = [p for _, query_pairs, _ in split_results
+                 for p in query_pairs]
         reports.append(DatasetReport(
             name=split.name,
-            spatial=mean_components([c for c, _ in split_results]),
+            spatial=mean_components([c for c, _, _ in split_results]),
             temporal=evaluate_temporal(pairs, nms_threshold),
             query_count=len(split_units),
             referent_count=len(pairs),

@@ -1,24 +1,39 @@
 """Spatial tracking quality: the HOTA metric family per (video, query).
 
-All similarity and alignment arithmetic runs on exact rationals
-(`fractions.Fraction`), so matching decisions and reported components are
-fully deterministic: no float-order effects, exact threshold comparisons,
-and reproducible tie-breaking (ascending ids). Floats appear only in the
-final reported components.
+Every matching decision and every reported component is the one exact
+rational arithmetic gives, with reproducible tie-breaking (ascending ids):
+no float-order effects and exact threshold comparisons. Floats appear only
+as the correctly rounded reported components.
 
-Once per query, `_Scenario` converts each detection's box to exact
-corners and area, records each track's frame set, and fills every frame's
-table of positive IoUs. Per threshold, `match` filters each table to its
-feasible pairs once, counts the track alignments from those same lists and
-solves each frame's assignment; `ratios` then reduces the matching, taking
-each track's detection count from its frame set.
+Once per query, `_Scenario` scales every box to integer corners and area:
+each coordinate is multiplied by one power of two, the smallest that makes
+every coordinate of the query an integer, so nothing is rounded. It
+records each track's frame set and fills every frame's table of positive
+IoUs, holding for each pair its intersection and union as ints, the
+fixed-point floor of their quotient at `_LOC_BITS` bits, whether that
+floor is inexact, and the `Fraction` IoU that `FrameMatch` carries.
+
+Per threshold the work is on ints only. `match` keeps the pairs with
+inter * den >= num * union, counts each track pair's alignment as (frames
+matched, frames where either track appears) and solves each frame's
+assignment; `ratios` reduces the matching to (numerator, denominator)
+pairs. Each mean over thresholds is taken over one common denominator and
+converted by one int true division, which rounds correctly, so it is the
+float of the exact value.
+
+LocA is bounded instead: the floors of the matched IoUs sum to a lower
+bound, and adding the number of inexact floors gives an upper bound. Both
+bounds are carried through the division by TP and the mean over
+thresholds. When the two round to the same double, that double is the
+exact value's; only when they do not does `_exact_loc_a` sum the matched
+IoUs as `Fraction`s.
 
 Each frame's assignment is solved one connected component of its feasible
 (gt, pred) graph at a time, on Python ints: a component's objectives are
-scaled by the lcm of their denominators, with a cardinality term above
-them and a tie term below, so the integer optimum is the rational one.
-Both steps are exact, so the matches are the same as one solve over the
-whole frame in `Fraction` would give.
+scaled by a common multiple of their denominators, with a cardinality
+term above them and a tie term below, so the integer optimum is the
+rational one. Both steps are exact, so the matches are the same as one
+solve over the whole frame in `Fraction` would give.
 """
 from __future__ import annotations
 
@@ -38,32 +53,63 @@ MAPPING_ALPHA = Fraction(1, 2)
 # Weight of the per-frame IoU relative to the track alignment term in the
 # matching objective; keeps IoU strictly subordinate to alignment.
 IOU_EPSILON = Fraction(1, 10000)
+_EPS_NUM, _EPS_DEN = IOU_EPSILON.as_integer_ratio()
 
-_ZERO = Fraction(0)
+# Fractional bits of the IoU floors that bound LocA. Each inexact floor
+# widens the interval by 2**-_LOC_BITS, far below a double's precision, so
+# the exact fallback is almost never needed.
+_LOC_BITS = 128
+
+# The ratio fields reduced exactly, as (numerator, denominator) pairs.
+_EXACT_FIELDS = tuple(name for name in _RATIO_FIELDS
+                      if name not in ("hota", "loc_a"))
 
 
-def _exact_box(box: BoundingBox) -> tuple[Fraction, ...]:
-    """(x1, y1, x2, y2, area) of a box, exactly."""
-    x, y, w, h = (Fraction(box.x), Fraction(box.y), Fraction(box.w),
-                  Fraction(box.h))
+def _shift(boxes) -> int:
+    """The exponent of the smallest power of two that makes every
+    coordinate of the boxes an integer."""
+    return max((value.as_integer_ratio()[1].bit_length() - 1
+                for box in boxes for value in (box.x, box.y, box.w, box.h)),
+               default=0)
+
+
+def _int_box(box: BoundingBox, shift: int) -> tuple[int, ...]:
+    """(x1, y1, x2, y2, area) of a box with every coordinate multiplied by
+    2**shift, on ints."""
+    x, y, w, h = (num << (shift + 1 - den.bit_length())
+                  for num, den in (value.as_integer_ratio()
+                                   for value in (box.x, box.y, box.w, box.h)))
     return x, y, x + w, y + h, w * h
 
 
-def _iou_frac(a, b) -> Fraction:
-    """Exact IoU of two `_exact_box` tuples."""
+def _overlap(a, b) -> int:
+    """Intersection area of two `_int_box` boxes; 0 when disjoint."""
     iw = min(a[2], b[2]) - max(a[0], b[0])
     if iw <= 0:
-        return _ZERO
+        return 0
     ih = min(a[3], b[3]) - max(a[1], b[1])
-    if ih <= 0:
-        return _ZERO
-    inter = iw * ih
-    return inter / (a[4] + b[4] - inter)
+    return iw * ih if ih > 0 else 0
 
 
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint."""
-    return float(_iou_frac(_exact_box(a), _exact_box(b)))
+    shift = _shift((a, b))
+    a, b = _int_box(a, shift), _int_box(b, shift)
+    inter = _overlap(a, b)
+    return inter / (a[4] + b[4] - inter)
+
+
+def _sum(ratios) -> tuple[int, int]:
+    """The sum of (numerator, denominator) int pairs, as one such pair over
+    the lcm of their denominators."""
+    common = math.lcm(*(den for _, den in ratios))
+    return sum(num * (common // den) for num, den in ratios), common
+
+
+def _mean(ratios) -> float:
+    """The float of the exact mean of (numerator, denominator) int pairs."""
+    total, den = _sum(ratios)
+    return total / (den * len(ratios))
 
 
 @dataclass(frozen=True)
@@ -80,95 +126,124 @@ class AlphaMatchResult:
     frames: tuple[FrameMatch, ...]
 
 
-def _by_frame(tracks):
-    """frame -> {track_id: exact box}, and track_id -> its set of frames."""
-    boxes: dict[int, dict[int, tuple[Fraction, ...]]] = {}
+def _by_frame(tracks, shift):
+    """frame -> {track_id: `_int_box`}, and track_id -> its set of frames."""
+    boxes: dict[int, dict[int, tuple[int, ...]]] = {}
     frames: dict[int, set[int]] = {}
     for track in tracks:
         for det in track.detections:
-            box = _exact_box(det.box)
-            boxes.setdefault(det.frame, {})[track.track_id] = box
+            boxes.setdefault(det.frame, {})[track.track_id] = _int_box(
+                det.box, shift)
             frames.setdefault(track.track_id, set()).add(det.frame)
     return boxes, frames
 
 
 class _Scenario:
     """Frame-indexed view of one (video, query)'s GT and predicted tracks,
-    with the pairwise IoU table computed once and shared across thresholds."""
+    with the pairwise IoU table computed once and shared across thresholds.
+
+    `iou[frame][(gid, pid)]` is (inter, union, floor, inexact, iou) for each
+    pair of positive IoU: intersection and union on the query's integer
+    scale, floor(inter * 2**bits / union), whether that floor is inexact,
+    and the IoU as a Fraction."""
 
     def __init__(self, gt_tracks, pred_tracks):
-        gt_boxes, self.gt_frames = _by_frame(gt_tracks)
-        pred_boxes, self.pred_frames = _by_frame(pred_tracks)
+        shift = _shift(det.box for track in (*gt_tracks, *pred_tracks)
+                       for det in track.detections)
+        gt_boxes, self.gt_frames = _by_frame(gt_tracks, shift)
+        pred_boxes, self.pred_frames = _by_frame(pred_tracks, shift)
+        self.gt_count = sum(map(len, self.gt_frames.values()))
+        self.pred_count = sum(map(len, self.pred_frames.values()))
         self.frames = sorted(set(gt_boxes) | set(pred_boxes))
-        self.iou: dict[int, dict[tuple[int, int], Fraction]] = {}
+        self.bits = bits = _LOC_BITS
+        self.iou: dict[int, dict[tuple[int, int], tuple]] = {}
         for frame in self.frames:
             table = {}
             for gid, gbox in gt_boxes.get(frame, {}).items():
                 for pid, pbox in pred_boxes.get(frame, {}).items():
-                    value = _iou_frac(gbox, pbox)
-                    if value > 0:
-                        table[(gid, pid)] = value
+                    inter = _overlap(gbox, pbox)
+                    if inter:
+                        union = gbox[4] + pbox[4] - inter
+                        floor, rest = divmod(inter << bits, union)
+                        table[(gid, pid)] = (inter, union, floor, rest > 0,
+                                             Fraction(inter, union))
             self.iou[frame] = table
+        # |frames where either track appears|, the alignment's denominator.
+        self.span = {(gid, pid): len(self.gt_frames[gid]
+                                     | self.pred_frames[pid])
+                     for gid, pid in {pair for table in self.iou.values()
+                                      for pair in table}}
 
     def match(self, alpha: Fraction) -> AlphaMatchResult:
         """Each frame's optimal matching at alpha, guided by the alignment
         of each (gt, pred) track pair reaching alpha in at least one frame:
         |frames matched at alpha| / |frames where either appears| (a
         Jaccard index over frames)."""
-        feasible = {frame: [pair for pair, value in table.items()
-                            if value >= alpha]
+        num, den = alpha.as_integer_ratio()
+        feasible = {frame: [pair for pair, entry in table.items()
+                            if entry[0] * den >= num * entry[1]]
                     for frame, table in self.iou.items()}
         counts: dict[tuple[int, int], int] = {}
         for pairs in feasible.values():
             for pair in pairs:
                 counts[pair] = counts.get(pair, 0) + 1
-        alignment = {
-            (gid, pid): Fraction(
-                count, len(self.gt_frames[gid] | self.pred_frames[pid]))
-            for (gid, pid), count in counts.items()}
+        alignment = {pair: (count, self.span[pair])
+                     for pair, count in counts.items()}
         frames = []
         for frame in self.frames:
             iou_table = self.iou[frame]
             pairs = _optimal_pairs(feasible[frame], iou_table, alignment)
             frames.append(FrameMatch(
-                frame, tuple((g, p, iou_table[(g, p)]) for g, p in pairs)))
+                frame, tuple((g, p, iou_table[(g, p)][4]) for g, p in pairs)))
         return AlphaMatchResult(alpha=alpha, frames=tuple(frames))
 
     def ratios(self, match: AlphaMatchResult) -> dict:
-        """The HOTA fields at match's threshold: hota as a float, the other
-        ratios as Fractions, tp/fn/fp as ints."""
+        """The HOTA fields at match's threshold: hota as a float, tp/fn/fp
+        as ints, loc_a as its (lower, upper) bounds and the other ratios,
+        each bound included, as (numerator, denominator) int pairs."""
         tpa: dict[tuple[int, int], int] = {}
-        loc_sum = _ZERO
+        floors = inexact = 0
         for fm in match.frames:
-            for gid, pid, iou in fm.matches:
+            table = self.iou[fm.frame]
+            for gid, pid, _ in fm.matches:
                 tpa[(gid, pid)] = tpa.get((gid, pid), 0) + 1
-                loc_sum += iou
+                entry = table[(gid, pid)]
+                floors += entry[2]
+                inexact += entry[3]
         tp = sum(tpa.values())
-        fn = sum(map(len, self.gt_frames.values())) - tp
-        fp = sum(map(len, self.pred_frames.values())) - tp
+        fn = self.gt_count - tp
+        fp = self.pred_count - tp
         if tp + fn == 0 and tp + fp == 0:
             # Fully-empty scenario: vacuously perfect.
-            return {**dict.fromkeys(_RATIO_FIELDS, Fraction(1)), "hota": 1.0,
-                    "tp": 0, "fn": 0, "fp": 0}
+            return {**dict.fromkeys(_EXACT_FIELDS, (1, 1)), "hota": 1.0,
+                    "loc_a": ((1, 1), (1, 1)), "tp": 0, "fn": 0, "fp": 0}
         values = {
-            "det_a": Fraction(tp, tp + fn + fp),
-            "det_re": Fraction(tp, tp + fn) if tp + fn else _ZERO,
-            "det_pr": Fraction(tp, tp + fp) if tp + fp else _ZERO,
-            "ass_a": _ZERO, "ass_re": _ZERO, "ass_pr": _ZERO, "loc_a": _ZERO,
+            "det_a": (tp, tp + fn + fp),
+            "det_re": (tp, tp + fn) if tp + fn else (0, 1),
+            "det_pr": (tp, tp + fp) if tp + fp else (0, 1),
+            "ass_a": (0, 1), "ass_re": (0, 1), "ass_pr": (0, 1),
+            "loc_a": ((0, 1), (0, 1)),
             "tp": tp, "fn": fn, "fp": fp,
         }
         if tp:
+            terms = {"ass_a": [], "ass_re": [], "ass_pr": []}
             for (gid, pid), count in tpa.items():
                 gt_count = len(self.gt_frames[gid])
                 pred_count = len(self.pred_frames[pid])
-                values["ass_a"] += count * Fraction(
-                    count, gt_count + pred_count - count)
-                values["ass_re"] += count * Fraction(count, gt_count)
-                values["ass_pr"] += count * Fraction(count, pred_count)
-            for name in ("ass_a", "ass_re", "ass_pr"):
-                values[name] /= tp
-            values["loc_a"] = loc_sum / tp
-        values["hota"] = math.sqrt(float(values["det_a"] * values["ass_a"]))
+                # Each of the pair's count matched detections adds
+                # count / size.
+                terms["ass_a"].append(
+                    (count * count, gt_count + pred_count - count))
+                terms["ass_re"].append((count * count, gt_count))
+                terms["ass_pr"].append((count * count, pred_count))
+            for name, ratios in terms.items():
+                total, den = _sum(ratios)
+                values[name] = (total, den * tp)
+            den = tp << self.bits
+            values["loc_a"] = ((floors, den), (floors + inexact, den))
+        (det_num, det_den), (ass_num, ass_den) = (values["det_a"],
+                                                  values["ass_a"])
+        values["hota"] = math.sqrt(det_num * ass_num / (det_den * ass_den))
         return values
 
 
@@ -176,6 +251,10 @@ def _optimal_pairs(feasible, iou_table, alignment):
     """Maximum-cardinality assignment over the feasible pairs; among those,
     maximum total (alignment + IOU_EPSILON * iou); remaining ties broken
     toward the lexicographically smallest sorted (gt_id, pred_id) pair list.
+    `iou_table` maps each pair to its IoU's (inter, union, ...) and
+    `alignment` to (count, span), the alignment being count / span; the
+    objective is then an int numerator over IOU_EPSILON's denominator
+    times span * union.
 
     Solved one connected component of the feasible bipartite graph at a
     time, which is exact: cardinality and objective add up over
@@ -186,21 +265,37 @@ def _optimal_pairs(feasible, iou_table, alignment):
     any other by one exact integer assignment over its own ids. Every
     feasible pair reaches the threshold in this frame, so it has an
     alignment."""
+    if len(feasible) < 2:
+        return list(feasible)
     pairs = []
     for component in _components(feasible):
-        objective = {
-            pair: alignment[pair] + IOU_EPSILON * iou_table[pair]
-            for pair in component
-        }
+        objective = {}
+        for pair in component:
+            count, span = alignment[pair]
+            inter, union = iou_table[pair][:2]
+            objective[pair] = (_EPS_DEN * count * union
+                               + _EPS_NUM * span * inter,
+                               _EPS_DEN * span * union)
         gids = sorted({g for g, _ in component})
         pids = sorted({p for _, p in component})
         if len(gids) == 1 or len(pids) == 1:
-            pairs.append(min(component,
-                             key=lambda pair: (-objective[pair], pair)))
+            pairs.append(_best_pair(component, objective))
         else:
             pairs.extend(_component_pairs(component, gids, pids, objective))
     pairs.sort()
     return pairs
+
+
+def _best_pair(component, objective):
+    """The pair of largest objective, compared by cross-multiplying; the
+    first in the sorted component on ties."""
+    best = component[0]
+    best_num, best_den = objective[best]
+    for pair in component[1:]:
+        num, den = objective[pair]
+        if num * best_den > best_num * den:
+            best, best_num, best_den = pair, num, den
+    return best
 
 
 def _components(feasible):
@@ -235,16 +330,15 @@ def _component_pairs(component, gids, pids, objective):
     sum to less than 3**K / 2; and among the rest the larger tie sum holds
     the smallest pair of the symmetric difference."""
     count = len(component)
-    unit = math.lcm(*{v.denominator for v in objective.values()}) * 3 ** count
+    unit = math.lcm(*{den for _, den in objective.values()}) * 3 ** count
     bonus = 2 * (max(len(gids), len(pids)) + 1) * unit
     row_of = {g: i for i, g in enumerate(gids)}
     col_of = {p: j for j, p in enumerate(pids)}
     weight = [[0] * len(pids) for _ in gids]
     for code, (g, p) in enumerate(component, start=1):
-        value = objective[(g, p)]
+        num, den = objective[(g, p)]
         weight[row_of[g]][col_of[p]] = (
-            bonus + value.numerator * (unit // value.denominator)
-            + 3 ** (count - code))
+            bonus + num * (unit // den) + 3 ** (count - code))
     if len(gids) <= len(pids):
         assigned = [(gids[i], pids[j])
                     for i, j in enumerate(_max_weight_assignment(weight))]
@@ -325,18 +419,38 @@ def _as_alpha(alpha) -> Fraction:
     return value
 
 
-def _hota_components(values: dict, alpha_averaged: bool = False
-                     ) -> HotaComponents:
-    return HotaComponents(
-        **{name: float(values[name]) for name in _RATIO_FIELDS},
-        **{name: values[name] for name in _COUNT_FIELDS},
-        alpha_averaged=alpha_averaged)
+def _exact_loc_a(matches) -> float:
+    """LocA averaged over the matchings, with the matched IoUs summed as
+    Fractions: the fallback for when its bounds round to two doubles."""
+    total = Fraction(0)
+    for match in matches:
+        ious = [iou for fm in match.frames for _, _, iou in fm.matches]
+        if ious:
+            total += sum(ious, Fraction(0)) / len(ious)
+    return float(total / len(matches))
+
+
+def _hota_components(scenario: _Scenario, matches) -> HotaComponents:
+    """The HOTA fields averaged over the matchings, one per threshold; with
+    more than one the result is alpha-averaged and its counts are means."""
+    per_alpha = [scenario.ratios(match) for match in matches]
+    n = len(per_alpha)
+    fields = {"hota": sum(values["hota"] for values in per_alpha) / n}
+    for name in _EXACT_FIELDS:
+        fields[name] = _mean([values[name] for values in per_alpha])
+    low, high = (_mean([values["loc_a"][end] for values in per_alpha])
+                 for end in (0, 1))
+    fields["loc_a"] = low if low == high else _exact_loc_a(matches)
+    for name in _COUNT_FIELDS:
+        total = sum(values[name] for values in per_alpha)
+        fields[name] = total / n if n > 1 else total
+    return HotaComponents(**fields, alpha_averaged=n > 1)
 
 
 def hota_at_alpha(gt_tracks, pred_tracks, alpha) -> HotaComponents:
     """HOTA decomposition at a single localization threshold."""
     scenario = _Scenario(gt_tracks, pred_tracks)
-    return _hota_components(scenario.ratios(scenario.match(_as_alpha(alpha))))
+    return _hota_components(scenario, [scenario.match(_as_alpha(alpha))])
 
 
 def hota_sweep(gt_tracks, pred_tracks
@@ -345,15 +459,9 @@ def hota_sweep(gt_tracks, pred_tracks
     matching at MAPPING_ALPHA. The aggregate HOTA is the mean of the
     per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
     scenario = _Scenario(gt_tracks, pred_tracks)
-    per_alpha = []
-    for alpha in ALPHAS:
-        match = scenario.match(alpha)
-        if alpha == MAPPING_ALPHA:
-            match_05 = match
-        per_alpha.append(scenario.ratios(match))
-    means = {name: sum(values[name] for values in per_alpha) / len(ALPHAS)
-             for name in _RATIO_FIELDS + _COUNT_FIELDS}
-    return _hota_components(means, alpha_averaged=True), match_05
+    matches = [scenario.match(alpha) for alpha in ALPHAS]
+    return (_hota_components(scenario, matches),
+            matches[ALPHAS.index(MAPPING_ALPHA)])
 
 
 def restrict_track(track: Track, segments) -> Track:

@@ -1,10 +1,18 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from svageval.model import BoundingBox, Detection, ScoredSegment, \
     TemporalSegment, Track
 from svageval.idmap import TemporalPair
+from svageval.synth import MAX_ORACLE_FRAMES, MAX_ORACLE_TRACKS
+
+# `HYPOTHESIS_PROFILE=ci` draws the same examples on every run, so that a
+# property that fails in CI fails the same way on any machine.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_track(tid, boxes):
@@ -31,6 +39,42 @@ def random_tracks(rng: random.Random, max_tracks, max_frames, id_base):
         if dets:
             tracks.append(Track(tid, tuple(dets)))
     return tracks
+
+
+# Coordinates that are ints, two-decimal floats (binary fractions with
+# denominators up to 2**52), or of extreme exponent: the smallest
+# subnormal, a tiny normal and a huge value.
+_EXTREMES = st.sampled_from((2.0 ** -1074, 1e-300, 1e300))
+_COORDS = st.one_of(st.integers(-5, 20),
+                    st.integers(-500, 2000).map(lambda n: n / 100),
+                    _EXTREMES)
+_SIZES = st.one_of(st.integers(1, 12),
+                   st.integers(1, 1200).map(lambda n: n / 100), _EXTREMES)
+
+
+@st.composite
+def float_scenarios(draw):
+    """(gt tracks, predicted tracks) within the oracle's limits, with float,
+    int and extreme coordinates. Every box comes from one small pool, so
+    that boxes overlap, coincide and tie often."""
+    pool = draw(st.lists(st.builds(BoundingBox, _COORDS, _COORDS, _SIZES,
+                                   _SIZES), min_size=1, max_size=5))
+    frames = draw(st.integers(1, MAX_ORACLE_FRAMES))
+
+    def tracks(id_base):
+        result = []
+        for tid in range(id_base, id_base + draw(
+                st.integers(0, MAX_ORACLE_TRACKS))):
+            present = draw(st.lists(st.booleans(), min_size=frames,
+                                    max_size=frames))
+            dets = tuple(Detection(frame, tid, draw(st.sampled_from(pool)))
+                         for frame, keep in enumerate(present, start=1)
+                         if keep)
+            if dets:
+                result.append(Track(tid, dets))
+        return result
+
+    return tracks(1), tracks(draw(st.sampled_from((1, 10))))
 
 
 def random_pairs(rng: random.Random, max_pairs=6, max_candidates=12):

@@ -253,6 +253,37 @@ class TestWarningsOnce:
                 f"track 999 dropped\n") in proc.stderr
 
 
+class TestDuplicateWinners:
+    def test_named_per_query_and_same_at_any_job_count(self, tmp_path):
+        """A predicted id that wins the vote of two referents is logged by
+        the parent, naming its dataset, video and query, so stderr does
+        not depend on the worker count."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "3",
+                     "--queries", "6", "--id-switch-prob", "0.2",
+                     "--box-jitter", "1.5"]) == EXIT_OK
+        env = {**os.environ, "SVAGEVAL_LOG": "warn",
+               "PYTHONPATH": str(Path(svageval.__file__).parents[1])}
+        stderr = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "svageval.cli", "evaluate",
+                 "--gt", str(data / "gt"), "--pred", str(data / "pred"),
+                 "--datasets", "ovis", "--out", str(tmp_path / "r.json"),
+                 "--jobs", jobs],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == EXIT_OK
+            stderr.append(proc.stderr)
+        assert ("ovis/video0001/q001: predicted id 3 won the vote for GT "
+                "ids [2, 3]\n") in stderr[0]
+        lines = [line for line in stderr[0].splitlines() if "won the vote"
+                 in line]
+        assert len(lines) == 2
+        assert all(": predicted id " in line and "ovis/video0001/q0" in line
+                   for line in lines)
+        assert stderr[0] == stderr[1]
+
+
 class TestLineEndsAndEmptyFiles:
     @staticmethod
     def _evaluate(data, out):

@@ -34,7 +34,7 @@ from svageval.spatial import (
 from svageval.synth import oracle_hota, oracle_temporal
 from svageval.temporal import evaluate_temporal, nms
 
-from conftest import random_pairs, random_tracks
+from conftest import float_scenarios, random_pairs, random_tracks
 
 
 def _scenario(rng):
@@ -49,6 +49,14 @@ class TestEngineMatchesOracle:
         for _ in range(150):
             gt, pred = _scenario(rng)
             assert hota_sweep(gt, pred)[0] == oracle_hota(gt, pred)
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_scenarios())
+    def test_spatial_exact_on_float_coordinates(self, scenario):
+        """Two-decimal floats, ints and extreme exponents, all scaled by one
+        power of two per query, give the oracle's exact components."""
+        gt, pred = scenario
+        assert hota_sweep(gt, pred)[0] == oracle_hota(gt, pred)
 
     def test_temporal_exact(self):
         rng = random.Random(2025)

@@ -1,9 +1,12 @@
+import fractions
 import math
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from svageval import spatial, synth
 from svageval.model import BoundingBox, TemporalSegment, ValidationError
@@ -21,7 +24,8 @@ from svageval.spatial import (
 
 from svageval.synth import ScenarioSpec, generate
 
-from conftest import constant_track, make_track, random_tracks
+from conftest import (constant_track, float_scenarios, make_track,
+                      random_tracks)
 
 
 class TestBoxIou:
@@ -347,7 +351,12 @@ class TestAssignment:
     @settings(max_examples=200, deadline=None)
     @given(_tied_frames())
     def test_optimal_pairs_match_exhaustive_search(self, frame):
-        assert spatial._optimal_pairs(*frame) == _exhaustive_pairs(*frame)
+        feasible, iou_table, alignment = frame
+        as_ints = [{pair: value.as_integer_ratio()
+                    for pair, value in table.items()}
+                   for table in (iou_table, alignment)]
+        assert (spatial._optimal_pairs(feasible, *as_ints)
+                == _exhaustive_pairs(*frame))
 
     def test_solves_only_connected_components(self, monkeypatch):
         """Three overlapping referents and ten far-away predicted tracks: no
@@ -370,3 +379,110 @@ class TestAssignment:
         hota_sweep(gt, pred)
         assert sizes
         assert max(max(size) for size in sizes) <= 3
+
+
+def _exact_sweep_loc_a(gt, pred):
+    """LocA of the sweep from the matched IoUs summed as Fractions."""
+    total = Fraction(0)
+    for match in hota_sweep_matches(gt, pred):
+        ious = [iou for fm in match.frames for _, _, iou in fm.matches]
+        if ious:
+            total += sum(ious, Fraction(0)) / len(ious)
+    return float(total / len(ALPHAS))
+
+
+def hota_sweep_matches(gt, pred):
+    scenario = spatial._Scenario(gt, pred)
+    return [scenario.match(alpha) for alpha in ALPHAS]
+
+
+class TestBoundedLocA:
+    """LocA is bounded by the fixed-point floors of the matched IoUs; the
+    Fraction sum runs only when the bounds round to two doubles."""
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        calls = []
+        exact = spatial._exact_loc_a
+
+        def counting(matches):
+            calls.append(len(matches))
+            return exact(matches)
+
+        monkeypatch.setattr(spatial, "_exact_loc_a", counting)
+        return calls
+
+    @pytest.mark.parametrize("bits", (1, 2))
+    def test_undecided_bounds_fall_back_to_the_exact_sum(self, monkeypatch,
+                                                         bits):
+        frames = range(1, 4)
+        gt = [constant_track(1, BoundingBox(0, 0, 10, 10), frames),
+              constant_track(2, BoundingBox(0.5, 20, 7, 9), frames)]
+        pred = [constant_track(1, BoundingBox(5, 0, 10, 10), frames),
+                constant_track(2, BoundingBox(1.25, 21, 7, 7), frames[1:])]
+        calls = self._count_fallbacks(monkeypatch)
+        sweep = hota_sweep(gt, pred)
+        single = hota_at_alpha(gt, pred, Fraction(1, 5))
+        assert calls == []
+        monkeypatch.setattr(spatial, "_LOC_BITS", bits)
+        assert hota_sweep(gt, pred) == sweep
+        assert hota_at_alpha(gt, pred, Fraction(1, 5)) == single
+        assert calls == [len(ALPHAS), 1]
+        assert sweep[0] == synth.oracle_hota(gt, pred)
+        assert sweep[0].loc_a == _exact_sweep_loc_a(gt, pred)
+
+    def test_thresholds_build_no_fraction(self):
+        """Once the table is built, matching and reducing every threshold
+        constructs no Fraction: everything runs on ints."""
+        frames = range(1, 4)
+        gt = [constant_track(1, BoundingBox(0.1, 0, 10, 10.3), frames),
+              constant_track(2, BoundingBox(0.5, 2.25, 7, 9), frames)]
+        pred = [constant_track(1, BoundingBox(5, 0.7, 10, 10), frames),
+                constant_track(2, BoundingBox(1.25, 2, 7, 7), frames)]
+        table = spatial._Scenario(gt, pred)
+        built = []
+
+        def hook(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename == fractions.__file__
+                    and frame.f_code.co_name in ("__new__",
+                                                 "_from_coprime_ints")):
+                built.append(frame.f_code.co_name)
+
+        sys.setprofile(hook)
+        try:
+            matches = [table.match(alpha) for alpha in ALPHAS]
+            per_alpha = [table.ratios(match) for match in matches]
+        finally:
+            sys.setprofile(None)
+        assert any(values["tp"] for values in per_alpha)
+        assert built == []
+        # The hook does see Fractions being built, as the fallback does.
+        sys.setprofile(hook)
+        try:
+            spatial._exact_loc_a(matches)
+        finally:
+            sys.setprofile(None)
+        assert built
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_scenarios(), st.sampled_from((1, 2, 8, 64, 128)))
+    def test_bounds_hold_the_fraction_sum(self, scenario, bits):
+        """At any precision the bounds hold the exact IoU sum, differ by at
+        most one unit per matched IoU, and the sweep's LocA is the float
+        of the exact mean."""
+        gt, pred = scenario
+        assume(gt or pred)
+        with mock.patch.object(spatial, "_LOC_BITS", bits):
+            table = spatial._Scenario(gt, pred)
+            loc_a = hota_sweep(gt, pred)[0].loc_a
+        for alpha in ALPHAS:
+            match = table.match(alpha)
+            ious = [iou for fm in match.frames for _, _, iou in fm.matches]
+            if not ious:
+                continue
+            (low, den), (high, high_den) = table.ratios(match)["loc_a"]
+            assert den == high_den == len(ious) << bits
+            assert low <= sum(ious, Fraction(0)) * (1 << bits) <= high
+            assert high - low <= len(ious)
+        assert loc_a == _exact_sweep_loc_a(gt, pred)
