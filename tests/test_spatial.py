@@ -383,17 +383,14 @@ class TestAssignment:
 
 def _exact_sweep_loc_a(gt, pred):
     """LocA of the sweep from the matched IoUs summed as Fractions."""
+    scenario = spatial._Scenario(gt, pred)
     total = Fraction(0)
-    for match in hota_sweep_matches(gt, pred):
-        ious = [iou for fm in match.frames for _, _, iou in fm.matches]
+    for alpha in ALPHAS:
+        ious = [iou for fm in scenario.match(alpha).frames
+                for _, _, iou in fm.matches]
         if ious:
             total += sum(ious, Fraction(0)) / len(ious)
     return float(total / len(ALPHAS))
-
-
-def hota_sweep_matches(gt, pred):
-    scenario = spatial._Scenario(gt, pred)
-    return [scenario.match(alpha) for alpha in ALPHAS]
 
 
 class TestBoundedLocA:
