@@ -26,7 +26,7 @@ from .ingest import (
     validate_split,
 )
 from .model import ValidationError
-from .pipeline import evaluate_datasets, resolve_jobs
+from .pipeline import evaluate_datasets
 from .report import report_to_dict, write_report
 from .synth import ScenarioSpec, generate, write_split
 from ._util import format_fixed
@@ -62,6 +62,19 @@ def _parse_nms(value: str) -> float | None:
     return threshold
 
 
+def _parse_jobs(value: str) -> int:
+    if value == "auto":
+        return max(1, os.cpu_count() or 1)
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--jobs must be an integer or 'auto', got {value!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1 or 'auto'")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svageval",
@@ -78,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--nms", type=_parse_nms, default=0.7,
                         help="temporal NMS threshold, or 'off' (default 0.7)")
     p_eval.add_argument("--out", required=True, help="report JSON path")
-    p_eval.add_argument("--jobs", default="1",
+    p_eval.add_argument("--jobs", type=_parse_jobs, default="1",
                         help="worker processes, or 'auto' (default 1)")
 
     p_val = sub.add_parser("validate", help="check split consistency")
@@ -148,8 +161,7 @@ def cmd_evaluate(args) -> int:
     if errors:
         print(f"{len(errors)} validation error(s); aborting", file=sys.stderr)
         return EXIT_VALIDATION
-    jobs = resolve_jobs(args.jobs)
-    final = evaluate_datasets(splits, args.nms, jobs=jobs)
+    final = evaluate_datasets(splits, args.nms, jobs=args.jobs)
     write_report(final, args.out)
     display = report_to_dict(final)["display"]["m_hiou"]
     print(f"m-HIoU: {display}")

@@ -350,13 +350,18 @@ def validate_split(split: DatasetSplit) -> list[Diagnostic]:
                 severity="warning", location=f"{split.name}/{video_id}",
                 message="video has no queries"))
         for query in video.queries:
-            known_queries.add((video_id, query.query_id))
+            key = (video_id, query.query_id)
+            location = f"{split.name}/{video_id}/{query.query_id}"
+            if key in known_queries:
+                diagnostics.append(Diagnostic(
+                    severity="error", location=location,
+                    message="duplicate query id"))
+            known_queries.add(key)
             for referent in query.referents:
                 track = video.tracks.get(referent.gt_track_id)
                 if track is None:
                     diagnostics.append(Diagnostic(
-                        severity="error",
-                        location=f"{split.name}/{video_id}/{query.query_id}",
+                        severity="error", location=location,
                         message=f"unresolved referent: track "
                                 f"{referent.gt_track_id} not in GT tracks"))
                     continue
@@ -365,9 +370,7 @@ def validate_split(split: DatasetSplit) -> list[Diagnostic]:
                     for seg in referent.gt_segments:
                         if seg.end > last:
                             diagnostics.append(Diagnostic(
-                                severity="warning",
-                                location=(f"{split.name}/{video_id}/"
-                                          f"{query.query_id}"),
+                                severity="warning", location=location,
                                 message=f"segment [{seg.start},{seg.end}] of "
                                         f"referent {referent.gt_track_id} "
                                         f"extends past last annotated frame "

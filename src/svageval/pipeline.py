@@ -3,17 +3,16 @@ identity mapping -> temporal metrics -> per-dataset report.
 
 ``evaluate_datasets`` is the one scorer of in-memory splits. It first runs
 ``validate_split`` on every split and refuses, with a ``ValueError``
-listing them, any error diagnostic (an unresolved referent, a duplicate or
-orphan prediction set), so no such input is scored. Per-(video, query)
-evaluations are pure functions over immutable inputs; the queries of all
-datasets share one worker pool, and every reduction happens in canonical
-(dataset, video_id, query position) order, so the report bytes never
-depend on the worker count.
+listing them, any error diagnostic (a duplicate query id, an unresolved
+referent, a duplicate or orphan prediction set), so no such input is
+scored. Per-(video, query) evaluations are pure functions over immutable
+inputs; the queries of all datasets share one worker pool, and every
+reduction happens in canonical (dataset, video_id, query position)
+order, so the report bytes never depend on the worker count.
 """
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
@@ -37,12 +36,15 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     non-referent objects become false positives. A missing prediction set
     scores zero. Every referent must resolve to a GT track of the video,
     which ``validate_split`` checks."""
-    components, pairs, _ = _score_query(video, query, predset)
+    components, pairs, _ = _score_query((video, query, predset))
     return components, pairs
 
 
-def _score_query(video, query, predset):
-    """``evaluate_query``'s components and pairs, and the identity map."""
+def _score_query(unit):
+    """``evaluate_query``'s components and pairs for a (video, query,
+    prediction set) unit, and the predicted ids that won the identity vote
+    for more than one GT id."""
+    video, query, predset = unit
     gt_tracks = [restrict_track(video.tracks[referent.gt_track_id],
                                 referent.gt_segments)
                  for referent in query.referents]
@@ -50,7 +52,7 @@ def _score_query(video, query, predset):
     components, match_05 = hota_sweep(gt_tracks, pred_tracks)
     id_map = build_id_map(match_05)
     pairs = build_temporal_pairs(id_map, query, predset)
-    return components, pairs, id_map
+    return components, pairs, id_map.duplicate_winners()
 
 
 def _query_units(split: DatasetSplit):
@@ -61,12 +63,6 @@ def _query_units(split: DatasetSplit):
         video = split.bundle.videos[video_id]
         for query in video.queries:
             yield video, query, pred_index.get((video_id, query.query_id))
-
-
-def _evaluate_unit(unit):
-    """Components, temporal pairs and duplicate vote winners of a unit."""
-    components, pairs, id_map = _score_query(*unit)
-    return components, pairs, id_map.duplicate_winners()
 
 
 def evaluate_datasets(splits, nms_threshold: float | None,
@@ -97,10 +93,10 @@ def evaluate_datasets(splits, nms_threshold: float | None,
                         video.video_id, query.query_id)
     if jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_unit, units,
+            results = list(pool.map(_score_query, units,
                                     chunksize=max(1, len(units) // (4 * jobs))))
     else:
-        results = [_evaluate_unit(unit) for unit in units]
+        results = [_score_query(unit) for unit in units]
     results = iter(results)
     reports = []
     for split, split_units in zip(splits, per_split):
@@ -121,12 +117,3 @@ def evaluate_datasets(splits, nms_threshold: float | None,
             referent_count=len(pairs),
         ))
     return build_final_report(reports)
-
-
-def resolve_jobs(value: str | int | None) -> int:
-    if value in (None, "auto"):
-        return max(1, os.cpu_count() or 1)
-    jobs = int(value)
-    if jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    return jobs

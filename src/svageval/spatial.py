@@ -9,17 +9,20 @@ Once per query, `_Scenario` scales every box to integer corners and area:
 each coordinate is multiplied by one power of two, the smallest that makes
 every coordinate of the query an integer, so nothing is rounded. It
 records each track's frame set and fills every frame's table of positive
-IoUs, holding for each pair its intersection and union as ints, the
-fixed-point floor of their quotient at `_LOC_BITS` bits, whether that
-floor is inexact, and the `Fraction` IoU that `FrameMatch` carries.
+IoUs, which holds ints only: for each pair its intersection and union,
+the fixed-point floor of their quotient at `_LOC_BITS` bits, and whether
+that floor is inexact.
 
 Per threshold the work is on ints only. `match` keeps the pairs with
 inter * den >= num * union, counts each track pair's alignment as (frames
 matched, frames where either track appears) and solves each frame's
-assignment; `ratios` reduces the matching to (numerator, denominator)
-pairs. Each mean over thresholds is taken over one common denominator and
-converted by one int true division, which rounds correctly, so it is the
-float of the exact value.
+assignment into a plain list of (frame, sorted pairs); `ratios` reduces
+that matching to (numerator, denominator) pairs. Each mean over
+thresholds is taken over one common denominator and converted by one int
+true division, which rounds correctly, so it is the float of the exact
+value. A `Fraction` IoU is built only for the one matching `hota_sweep`
+or `match_at_alpha` returns (by `_match_result`) and in the exact LocA
+fallback.
 
 LocA is bounded instead: the floors of the matched IoUs sum to a lower
 bound, and adding the number of inexact floors gives an upper bound. Both
@@ -142,10 +145,10 @@ class _Scenario:
     """Frame-indexed view of one (video, query)'s GT and predicted tracks,
     with the pairwise IoU table computed once and shared across thresholds.
 
-    `iou[frame][(gid, pid)]` is (inter, union, floor, inexact, iou) for each
+    `iou[frame][(gid, pid)]` is (inter, union, floor, inexact) for each
     pair of positive IoU: intersection and union on the query's integer
-    scale, floor(inter * 2**bits / union), whether that floor is inexact,
-    and the IoU as a Fraction."""
+    scale, floor(inter * 2**bits / union) and whether that floor is
+    inexact. Every frame of either side has a table, in frame order."""
 
     def __init__(self, gt_tracks, pred_tracks):
         shift = _shift(det.box for track in (*gt_tracks, *pred_tracks)
@@ -154,10 +157,9 @@ class _Scenario:
         pred_boxes, self.pred_frames = _by_frame(pred_tracks, shift)
         self.gt_count = sum(map(len, self.gt_frames.values()))
         self.pred_count = sum(map(len, self.pred_frames.values()))
-        self.frames = sorted(set(gt_boxes) | set(pred_boxes))
         self.bits = bits = _LOC_BITS
         self.iou: dict[int, dict[tuple[int, int], tuple]] = {}
-        for frame in self.frames:
+        for frame in sorted(set(gt_boxes) | set(pred_boxes)):
             table = {}
             for gid, gbox in gt_boxes.get(frame, {}).items():
                 for pid, pbox in pred_boxes.get(frame, {}).items():
@@ -165,8 +167,7 @@ class _Scenario:
                     if inter:
                         union = gbox[4] + pbox[4] - inter
                         floor, rest = divmod(inter << bits, union)
-                        table[(gid, pid)] = (inter, union, floor, rest > 0,
-                                             Fraction(inter, union))
+                        table[(gid, pid)] = (inter, union, floor, rest > 0)
             self.iou[frame] = table
         # |frames where either track appears|, the alignment's denominator.
         self.span = {(gid, pid): len(self.gt_frames[gid]
@@ -174,9 +175,11 @@ class _Scenario:
                      for gid, pid in {pair for table in self.iou.values()
                                       for pair in table}}
 
-    def match(self, alpha: Fraction) -> AlphaMatchResult:
-        """Each frame's optimal matching at alpha, guided by the alignment
-        of each (gt, pred) track pair reaching alpha in at least one frame:
+    def match(self, alpha: Fraction
+              ) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Each frame's optimal matching at alpha, as (frame, sorted pairs)
+        for every frame in frame order, guided by the alignment of each
+        (gt, pred) track pair reaching alpha in at least one frame:
         |frames matched at alpha| / |frames where either appears| (a
         Jaccard index over frames)."""
         num, den = alpha.as_integer_ratio()
@@ -189,25 +192,20 @@ class _Scenario:
                 counts[pair] = counts.get(pair, 0) + 1
         alignment = {pair: (count, self.span[pair])
                      for pair, count in counts.items()}
-        frames = []
-        for frame in self.frames:
-            iou_table = self.iou[frame]
-            pairs = _optimal_pairs(feasible[frame], iou_table, alignment)
-            frames.append(FrameMatch(
-                frame, tuple((g, p, iou_table[(g, p)][4]) for g, p in pairs)))
-        return AlphaMatchResult(alpha=alpha, frames=tuple(frames))
+        return [(frame, _optimal_pairs(pairs, self.iou[frame], alignment))
+                for frame, pairs in feasible.items()]
 
-    def ratios(self, match: AlphaMatchResult) -> dict:
-        """The HOTA fields at match's threshold: hota as a float, tp/fn/fp
+    def ratios(self, matching) -> dict:
+        """The HOTA fields of a `match` result: hota as a float, tp/fn/fp
         as ints, loc_a as its (lower, upper) bounds and the other ratios,
         each bound included, as (numerator, denominator) int pairs."""
         tpa: dict[tuple[int, int], int] = {}
         floors = inexact = 0
-        for fm in match.frames:
-            table = self.iou[fm.frame]
-            for gid, pid, _ in fm.matches:
-                tpa[(gid, pid)] = tpa.get((gid, pid), 0) + 1
-                entry = table[(gid, pid)]
+        for frame, pairs in matching:
+            table = self.iou[frame]
+            for pair in pairs:
+                tpa[pair] = tpa.get(pair, 0) + 1
+                entry = table[pair]
                 floors += entry[2]
                 inexact += entry[3]
         tp = sum(tpa.values())
@@ -266,7 +264,7 @@ def _optimal_pairs(feasible, iou_table, alignment):
     feasible pair reaches the threshold in this frame, so it has an
     alignment."""
     if len(feasible) < 2:
-        return list(feasible)
+        return feasible
     pairs = []
     for component in _components(feasible):
         objective = {}
@@ -404,10 +402,24 @@ def _max_weight_assignment(weight):
     return assignment
 
 
+def _match_result(scenario: _Scenario, alpha: Fraction,
+                  matching) -> AlphaMatchResult:
+    """A `match` result as the public AlphaMatchResult, with the IoU of
+    each matched pair as a Fraction."""
+    frames = []
+    for frame, pairs in matching:
+        table = scenario.iou[frame]
+        frames.append(FrameMatch(frame, tuple(
+            (g, p, Fraction(*table[g, p][:2])) for g, p in pairs)))
+    return AlphaMatchResult(alpha=alpha, frames=tuple(frames))
+
+
 def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:
     """Per-frame optimal one-to-one matching at one threshold, guided by the
     track alignment at that threshold."""
-    return _Scenario(gt_tracks, pred_tracks).match(_as_alpha(alpha))
+    alpha = _as_alpha(alpha)
+    scenario = _Scenario(gt_tracks, pred_tracks)
+    return _match_result(scenario, alpha, scenario.match(alpha))
 
 
 def _as_alpha(alpha) -> Fraction:
@@ -419,28 +431,30 @@ def _as_alpha(alpha) -> Fraction:
     return value
 
 
-def _exact_loc_a(matches) -> float:
+def _exact_loc_a(scenario: _Scenario, matchings) -> float:
     """LocA averaged over the matchings, with the matched IoUs summed as
     Fractions: the fallback for when its bounds round to two doubles."""
     total = Fraction(0)
-    for match in matches:
-        ious = [iou for fm in match.frames for _, _, iou in fm.matches]
+    for matching in matchings:
+        ious = [Fraction(*scenario.iou[frame][pair][:2])
+                for frame, pairs in matching for pair in pairs]
         if ious:
             total += sum(ious, Fraction(0)) / len(ious)
-    return float(total / len(matches))
+    return float(total / len(matchings))
 
 
-def _hota_components(scenario: _Scenario, matches) -> HotaComponents:
+def _hota_components(scenario: _Scenario, matchings) -> HotaComponents:
     """The HOTA fields averaged over the matchings, one per threshold; with
     more than one the result is alpha-averaged and its counts are means."""
-    per_alpha = [scenario.ratios(match) for match in matches]
+    per_alpha = [scenario.ratios(matching) for matching in matchings]
     n = len(per_alpha)
     fields = {"hota": sum(values["hota"] for values in per_alpha) / n}
     for name in _EXACT_FIELDS:
         fields[name] = _mean([values[name] for values in per_alpha])
     low, high = (_mean([values["loc_a"][end] for values in per_alpha])
                  for end in (0, 1))
-    fields["loc_a"] = low if low == high else _exact_loc_a(matches)
+    fields["loc_a"] = (low if low == high
+                       else _exact_loc_a(scenario, matchings))
     for name in _COUNT_FIELDS:
         total = sum(values[name] for values in per_alpha)
         fields[name] = total / n if n > 1 else total
@@ -459,9 +473,10 @@ def hota_sweep(gt_tracks, pred_tracks
     matching at MAPPING_ALPHA. The aggregate HOTA is the mean of the
     per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
     scenario = _Scenario(gt_tracks, pred_tracks)
-    matches = [scenario.match(alpha) for alpha in ALPHAS]
-    return (_hota_components(scenario, matches),
-            matches[ALPHAS.index(MAPPING_ALPHA)])
+    matchings = [scenario.match(alpha) for alpha in ALPHAS]
+    return (_hota_components(scenario, matchings),
+            _match_result(scenario, MAPPING_ALPHA,
+                          matchings[ALPHAS.index(MAPPING_ALPHA)]))
 
 
 def restrict_track(track: Track, segments) -> Track:

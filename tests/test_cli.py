@@ -223,6 +223,82 @@ class TestEvaluate:
             main(["evaluate", "--gt", "x", "--pred", "y", "--out", "z",
                   "--nms", "nope"])
 
+    @pytest.mark.parametrize("value,expected", [("0.5", 0.5), ("0", 0.0),
+                                                ("1", 1.0), ("off", None)])
+    def test_nms_values_parsed(self, value, expected):
+        args = cli.build_parser().parse_args(
+            ["evaluate", "--gt", "x", "--pred", "y", "--out", "z",
+             "--nms", value])
+        assert args.nms == expected
+
+    @pytest.mark.parametrize("option,value", [
+        ("--nms", "1.5"), ("--nms", "-0.1"),
+        ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "abc"),
+        ("--jobs", "1.5")])
+    def test_bad_option_exits_two_before_loading(self, tmp_path, capsys,
+                                                 monkeypatch, option, value):
+        """A bad --nms or --jobs is refused by name before any file is
+        read."""
+        def fail(*args, **kwargs):
+            raise AssertionError(f"split loaded before {option} was checked")
+        monkeypatch.setattr(cli, "load_split", fail)
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "--gt", str(tmp_path), "--pred", str(tmp_path),
+                  "--out", str(tmp_path / "r.json"), option, value])
+        assert info.value.code == EXIT_VALIDATION
+        assert f"argument {option}: " in capsys.readouterr().err
+
+    def test_jobs_auto_uses_the_cpu_count(self, tmp_path, monkeypatch):
+        data = _synth(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen = []
+        evaluate = cli.evaluate_datasets
+
+        def recording(splits, nms_threshold, jobs):
+            seen.append(jobs)
+            return evaluate(splits, nms_threshold, jobs=jobs)
+        monkeypatch.setattr(cli, "evaluate_datasets", recording)
+        base = ["evaluate", "--gt", str(data / "gt"),
+                "--pred", str(data / "pred"), "--datasets", "ovis"]
+        for jobs in ("auto", "1"):
+            assert main(base + ["--out", str(tmp_path / f"{jobs}.json"),
+                                "--jobs", jobs]) == EXIT_OK
+        assert seen == [2, 1]
+        assert (tmp_path / "auto.json").read_bytes() == \
+            (tmp_path / "1.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "validate", "stats"])
+    @pytest.mark.parametrize("datasets,message", [
+        (" , ", "--datasets must name at least one dataset"),
+        ("empty", "empty: no video directories found")])
+    def test_no_video_to_load_exits_one(self, tmp_path, capsys, command,
+                                        datasets, message):
+        data = _synth(tmp_path)
+        (data / "gt" / "empty").mkdir()
+        args = [command, "--gt", str(data / "gt"), "--datasets", datasets]
+        if command == "evaluate":
+            args += ["--pred", str(data / "pred"),
+                     "--out", str(tmp_path / "r.json")]
+        assert main(args) == EXIT_IO
+        assert message in capsys.readouterr().err
+
+    def test_dataset_without_queries_exits_two(self, tmp_path, capsys):
+        """Videos without queries are a warning each, and a dataset with
+        no query at all is refused, not scored as an empty mean."""
+        data = _synth(tmp_path)
+        queries = data / "gt" / "ovis" / "video0001" / "queries.json"
+        doc = json.loads(queries.read_text())
+        doc["queries"] = []
+        queries.write_text(json.dumps(doc))
+        shutil.rmtree(data / "pred" / "ovis")
+        assert main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "[warning] ovis/video0001: video has no queries" in err
+        assert "error: dataset 'ovis' has no queries" in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestWarningsOnce:
     @pytest.mark.parametrize("command,expected", [("evaluate", EXIT_OK),
@@ -352,6 +428,28 @@ class TestValidate:
                      "--datasets", "ovis"])
         assert code == EXIT_VALIDATION
         assert "unresolved referent" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    def test_duplicate_query_id_exits_two(self, tmp_path, capsys, command):
+        """A query id repeated in queries.json is one located error, not a
+        query scored twice against one prediction set."""
+        data = _synth(tmp_path, queries=6, id_switch_prob=0.2,
+                      box_jitter=1.5)
+        queries = data / "gt" / "ovis" / "video0001" / "queries.json"
+        doc = json.loads(queries.read_text())
+        doc["queries"][1]["query_id"] = "q001"
+        queries.write_text(json.dumps(doc))
+        shutil.rmtree(data / "pred" / "ovis" / "video0001" / "q002")
+        args = [command, "--gt", str(data / "gt"),
+                "--pred", str(data / "pred"), "--datasets", "ovis"]
+        if command == "evaluate":
+            args += ["--out", str(tmp_path / "r.json")]
+        assert main(args) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "[error] ovis/video0001/q001: duplicate query id" in err
+        assert err.count("duplicate query id") == 1
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestStats:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from svageval.ingest import (
     DatasetSplit,
+    Diagnostic,
     GroundTruthBundle,
     IngestError,
     VideoGroundTruth,
@@ -54,6 +55,12 @@ class TestParseTrackCsv:
         path = tmp_path / "gt.txt"
         path.write_text("1,3,10,20,30,40\n1,3,11,21,31,41\n")
         with pytest.raises(IngestError, match="duplicate"):
+            parse_track_csv(path)
+
+    def test_blank_line_located(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_text("1,3,10,20,30,40\n\n2,3,10,20,30,40\n")
+        with pytest.raises(IngestError, match="gt.txt:line 2: blank line$"):
             parse_track_csv(path)
 
     def test_crlf_and_no_trailing_newline(self, tmp_path):
@@ -146,6 +153,12 @@ class TestParseQueryJson:
         with pytest.raises(IngestError, match=r"queries\[0\]"):
             parse_query_json(path)
 
+    def test_top_level_array_located(self, tmp_path):
+        path = _write_queries(tmp_path, [{"video_id": "v1", "queries": []}])
+        with pytest.raises(IngestError, match=(
+                r"queries.json:\$: top-level value must be an object$")):
+            parse_query_json(path)
+
     def test_unknown_fields_ignored(self, tmp_path):
         path = _write_queries(tmp_path, {
             "video_id": "v1", "extra": 42,
@@ -181,6 +194,16 @@ class TestParsePredictionBundle:
         predset, warnings = parse_prediction_bundle(csv_path, json_path)
         assert predset.temporal == {5: ()}
         assert warnings == []
+
+    def test_repeated_temporal_entry_located(self, tmp_path):
+        entry = {"track_id": 5,
+                 "segments": [{"start": 1, "end": 2, "score": 0.5}]}
+        csv_path, json_path = self._write(
+            tmp_path, "1,5,10,20,30,40,1.0\n",
+            {"query_id": "q1", "video_id": "v1", "tracks": [entry, entry]})
+        with pytest.raises(IngestError, match=(
+                r"\$\.tracks\[1\]: duplicate temporal entry for track 5$")):
+            parse_prediction_bundle(csv_path, json_path)
 
     def test_huge_integer_score_located(self, tmp_path):
         csv_path, json_path = self._write(
@@ -249,6 +272,24 @@ class TestValidateSplit:
         diags = validate_split(split)
         assert any(d.severity == "error" and "duplicate" in d.message
                    for d in diags)
+
+    def test_duplicate_query_id(self):
+        """A query id given twice in one video is an error at that query,
+        reported once, not a second scoring of the same prediction."""
+        split = _toy_split()
+        video = split.bundle.videos["v1"]
+        video.queries.append(Query("q1", "v1", "again",
+                                   video.queries[0].referents))
+        assert validate_split(split) == [Diagnostic(
+            severity="error", location="ovis/v1/q1",
+            message="duplicate query id")]
+
+    def test_video_without_queries_warns(self):
+        split = _toy_split()
+        split.bundle.videos["v2"] = VideoGroundTruth("v2", {}, [])
+        assert validate_split(split) == [Diagnostic(
+            severity="warning", location="ovis/v2",
+            message="video has no queries")]
 
     def test_segment_past_track_end_warns(self):
         split = _toy_split()

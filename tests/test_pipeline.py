@@ -28,6 +28,18 @@ class TestEvaluateSplit:
                            match=f"{first.video_id}/{first.query_id}"):
             evaluate_datasets([split], 0.7)
 
+    def test_duplicate_query_id_rejected(self):
+        """A query id repeated in one video is refused, not scored twice
+        against one prediction set."""
+        split = _split()
+        video = split.bundle.videos["video0001"]
+        video.queries[1] = dataclasses.replace(
+            video.queries[1], query_id=video.queries[0].query_id)
+        with pytest.raises(ValueError, match=(
+                f"synth/video0001/{video.queries[0].query_id}: "
+                f"duplicate query id")):
+            evaluate_datasets([split], 0.7)
+
     def test_unresolved_referent_rejected(self):
         """A referent without a GT track is refused, not scored without
         its spatial part."""

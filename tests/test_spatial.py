@@ -383,10 +383,9 @@ class TestAssignment:
 
 def _exact_sweep_loc_a(gt, pred):
     """LocA of the sweep from the matched IoUs summed as Fractions."""
-    scenario = spatial._Scenario(gt, pred)
     total = Fraction(0)
     for alpha in ALPHAS:
-        ious = [iou for fm in scenario.match(alpha).frames
+        ious = [iou for fm in match_at_alpha(gt, pred, alpha).frames
                 for _, _, iou in fm.matches]
         if ious:
             total += sum(ious, Fraction(0)) / len(ious)
@@ -402,9 +401,9 @@ class TestBoundedLocA:
         calls = []
         exact = spatial._exact_loc_a
 
-        def counting(matches):
-            calls.append(len(matches))
-            return exact(matches)
+        def counting(scenario, matchings):
+            calls.append(len(matchings))
+            return exact(scenario, matchings)
 
         monkeypatch.setattr(spatial, "_exact_loc_a", counting)
         return calls
@@ -429,27 +428,16 @@ class TestBoundedLocA:
         assert sweep[0].loc_a == _exact_sweep_loc_a(gt, pred)
 
     def test_thresholds_build_no_fraction(self):
-        """Once the table is built, matching and reducing every threshold
+        """Building the table, and matching and reducing every threshold,
         constructs no Fraction: everything runs on ints."""
-        frames = range(1, 4)
-        gt = [constant_track(1, BoundingBox(0.1, 0, 10, 10.3), frames),
-              constant_track(2, BoundingBox(0.5, 2.25, 7, 9), frames)]
-        pred = [constant_track(1, BoundingBox(5, 0.7, 10, 10), frames),
-                constant_track(2, BoundingBox(1.25, 2, 7, 7), frames)]
-        table = spatial._Scenario(gt, pred)
+        gt, pred = self._float_scenario()
         built = []
-
-        def hook(frame, event, arg):
-            if (event == "call"
-                    and frame.f_code.co_filename == fractions.__file__
-                    and frame.f_code.co_name in ("__new__",
-                                                 "_from_coprime_ints")):
-                built.append(frame.f_code.co_name)
-
+        hook = self._fraction_hook(built)
         sys.setprofile(hook)
         try:
-            matches = [table.match(alpha) for alpha in ALPHAS]
-            per_alpha = [table.ratios(match) for match in matches]
+            table = spatial._Scenario(gt, pred)
+            matchings = [table.match(alpha) for alpha in ALPHAS]
+            per_alpha = [table.ratios(matching) for matching in matchings]
         finally:
             sys.setprofile(None)
         assert any(values["tp"] for values in per_alpha)
@@ -457,10 +445,46 @@ class TestBoundedLocA:
         # The hook does see Fractions being built, as the fallback does.
         sys.setprofile(hook)
         try:
-            spatial._exact_loc_a(matches)
+            spatial._exact_loc_a(table, matchings)
         finally:
             sys.setprofile(None)
         assert built
+
+    def test_sweep_builds_one_fraction_per_mapping_pair(self, monkeypatch):
+        """When the LocA bounds decide, the sweep builds one Fraction, the
+        IoU, for each pair it matched at MAPPING_ALPHA and none else."""
+        gt, pred = self._float_scenario()
+        calls = self._count_fallbacks(monkeypatch)
+        built = []
+        sys.setprofile(self._fraction_hook(built))
+        try:
+            _, match_05 = hota_sweep(gt, pred)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        pairs = sum(len(fm.matches) for fm in match_05.frames)
+        assert pairs
+        assert len(built) == pairs
+
+    @staticmethod
+    def _float_scenario():
+        frames = range(1, 4)
+        gt = [constant_track(1, BoundingBox(0.1, 0, 10, 10.3), frames),
+              constant_track(2, BoundingBox(0.5, 2.25, 7, 9), frames)]
+        pred = [constant_track(1, BoundingBox(5, 0.7, 10, 10), frames),
+                constant_track(2, BoundingBox(1.25, 2, 7, 7), frames)]
+        return gt, pred
+
+    @staticmethod
+    def _fraction_hook(built):
+        """A profile hook that records every Fraction constructed."""
+        def hook(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename == fractions.__file__
+                    and frame.f_code.co_name in ("__new__",
+                                                 "_from_coprime_ints")):
+                built.append(frame.f_code.co_name)
+        return hook
 
     @settings(max_examples=100, deadline=None)
     @given(float_scenarios(), st.sampled_from((1, 2, 8, 64, 128)))
@@ -474,11 +498,13 @@ class TestBoundedLocA:
             table = spatial._Scenario(gt, pred)
             loc_a = hota_sweep(gt, pred)[0].loc_a
         for alpha in ALPHAS:
-            match = table.match(alpha)
-            ious = [iou for fm in match.frames for _, _, iou in fm.matches]
+            matching = table.match(alpha)
+            ious = [iou for fm in spatial._match_result(table, alpha,
+                                                        matching).frames
+                    for _, _, iou in fm.matches]
             if not ious:
                 continue
-            (low, den), (high, high_den) = table.ratios(match)["loc_a"]
+            (low, den), (high, high_den) = table.ratios(matching)["loc_a"]
             assert den == high_den == len(ious) << bits
             assert low <= sum(ious, Fraction(0)) * (1 << bits) <= high
             assert high - low <= len(ious)
