@@ -199,6 +199,12 @@ def _build(path, where: str, kind, *args):
 
 def parse_query_json(path) -> list[Query]:
     """Parse one video's query annotations."""
+    return _parse_query_file(path)[1]
+
+
+def _parse_query_file(path) -> tuple[str, list[Query]]:
+    """One video's query annotations and the ``video_id`` they name, which
+    the file holds even when it lists no query."""
     path = Path(path)
     data = _json_load(path)
     video_id = _get(data, "video_id", str, path, "$")
@@ -223,7 +229,7 @@ def parse_query_json(path) -> list[Query]:
                                     tuple(segments)))
         queries.append(_build(path, where, Query, query_id, video_id, text,
                               tuple(referents)))
-    return queries
+    return video_id, queries
 
 
 def parse_prediction_bundle(track_csv_path, temporal_json_path
@@ -285,10 +291,8 @@ def load_ground_truth(root, dataset: str) -> GroundTruthBundle:
         video_id = video_dir.name
         tracks = parse_track_csv(video_dir / GT_TRACKS_FILENAME)
         queries_path = video_dir / QUERIES_FILENAME
-        queries = parse_query_json(queries_path)
-        for query in queries:
-            _match_directory(queries_path, "video_id", query.video_id,
-                             video_dir)
+        named, queries = _parse_query_file(queries_path)
+        _match_directory(queries_path, "video_id", named, video_dir)
         bundle.videos[video_id] = VideoGroundTruth(
             video_id=video_id,
             tracks={t.track_id: t for t in tracks},

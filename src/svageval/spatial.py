@@ -32,11 +32,23 @@ exact value's; only when they do not does `_exact_loc_a` sum the matched
 IoUs as `Fraction`s.
 
 Each frame's assignment is solved one connected component of its feasible
-(gt, pred) graph at a time, on Python ints: a component's objectives are
-scaled by a common multiple of their denominators, with a cardinality
-term above them and a tie term below, so the integer optimum is the
-rational one. Both steps are exact, so the matches are the same as one
-solve over the whole frame in `Fraction` would give.
+(gt, pred) graph at a time, on Python ints, first on fixed point: each
+pair weighs a cardinality term plus the floor of its objective at
+`_FIX_BITS` fractional bits. Each floor is less than one unit low, so an
+exactly optimal matching weighs less than one unit per row below the found
+one. The solver's duals give every pair a reduced cost that is never
+negative and is zero on the found matching, and a column the matching
+leaves free has dual zero; so what any other matching loses is at least
+the cheapest alternating cycle or path through its new pairs, over
+reduced costs. Where every unmatched pair's cycle or path costs at least
+one unit per row, the found matching is the unique exact optimum and is
+returned. Otherwise the pairs whose bound falls short are the only ones
+an exact optimum can add, and they are solved with the found pairs,
+exactly: objectives scaled by a common multiple of their denominators,
+with a cardinality term above them and a tie term below, so that the
+integer optimum is the rational one with the same tie-break. Every step
+is exact, so the matches are the same as one solve over the whole frame
+in `Fraction` would give.
 """
 from __future__ import annotations
 
@@ -62,6 +74,12 @@ _EPS_NUM, _EPS_DEN = IOU_EPSILON.as_integer_ratio()
 # widens the interval by 2**-_LOC_BITS, far below a double's precision, so
 # the exact fallback is almost never needed.
 _LOC_BITS = 128
+
+# Fractional bits of the fixed-point weights each assignment is solved on
+# first. The solve is certified unless another matching may come within
+# one unit per row of it, which at this width means an exact or near tie;
+# only then do the exact weights run.
+_FIX_BITS = 64
 
 # The ratio fields reduced exactly, as (numerator, denominator) pairs.
 _EXACT_FIELDS = tuple(name for name in _RATIO_FIELDS
@@ -260,9 +278,8 @@ def _optimal_pairs(feasible, iou_table, alignment):
     lexicographically smaller one is the one holding the smallest pair of
     their symmetric difference, a pair that lies in a single component.
     A component with one id on either side is solved by its best pair;
-    any other by one exact integer assignment over its own ids. Every
-    feasible pair reaches the threshold in this frame, so it has an
-    alignment."""
+    any other by `_component_pairs`, over its own ids. Every feasible pair
+    reaches the threshold in this frame, so it has an alignment."""
     if len(feasible) < 2:
         return feasible
     pairs = []
@@ -274,8 +291,8 @@ def _optimal_pairs(feasible, iou_table, alignment):
             objective[pair] = (_EPS_DEN * count * union
                                + _EPS_NUM * span * inter,
                                _EPS_DEN * span * union)
-        gids = sorted({g for g, _ in component})
-        pids = sorted({p for _, p in component})
+        gids = {g for g, _ in component}
+        pids = {p for _, p in component}
         if len(gids) == 1 or len(pids) == 1:
             pairs.append(_best_pair(component, objective))
         else:
@@ -298,27 +315,133 @@ def _best_pair(component, objective):
 
 def _components(feasible):
     """Connected components of the bipartite graph the pairs span, each a
-    sorted list of its pairs."""
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
+    sorted list of its pairs. A gt id g is node g and a pred id p is node
+    ~p, which is negative because ids are not."""
+    parent: dict[int, int] = {}
 
     def root(node):
-        while parent.setdefault(node, node) != node:
-            node = parent[node]
+        while (up := parent.get(node, node)) != node:
+            node = up
         return node
 
     for g, p in feasible:
-        parent[root(("pred", p))] = root(("gt", g))
-    components: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for g, p in sorted(feasible):
-        components.setdefault(root(("gt", g)), []).append((g, p))
+        a, b = root(g), root(~p)
+        if a != b:
+            parent[b] = a
+    components: dict[int, list[tuple[int, int]]] = {}
+    for pair in sorted(feasible):
+        components.setdefault(root(pair[0]), []).append(pair)
     return list(components.values())
 
 
+def _layout(component, gids, pids):
+    """Each pair's (row, column) in the assignment matrix of a component
+    over the id sets gids and pids, in the component's order, and the
+    matrix's row and column counts. The rows are the smaller side, as
+    `_max_weight_assignment` needs, and ids rank in ascending order."""
+    if len(gids) > len(pids):
+        row_of = {p: i for i, p in enumerate(sorted(pids))}
+        col_of = {g: j for j, g in enumerate(sorted(gids))}
+        cells = [(row_of[p], col_of[g]) for g, p in component]
+    else:
+        row_of = {g: i for i, g in enumerate(sorted(gids))}
+        col_of = {p: j for j, p in enumerate(sorted(pids))}
+        cells = [(row_of[g], col_of[p]) for g, p in component]
+    return cells, len(row_of), len(col_of)
+
+
+def _matrix(layout, weights):
+    """The matrix of a `_layout` with each pair's weight in its cell and
+    zero where no pair is."""
+    cells, rows, cols = layout
+    matrix = [[0] * cols for _ in range(rows)]
+    for (i, j), weight in zip(cells, weights):
+        matrix[i][j] = weight
+    return matrix
+
+
 def _component_pairs(component, gids, pids, objective):
-    """The optimal pairs of one component, as one max-weight assignment on
-    integers. With n the larger side, D the lcm of the objectives'
-    denominators and K the number of pairs, the pair of sorted rank `code`
-    (1-based) weighs
+    """The optimal pairs of one connected component with at least two ids
+    on each side, solved on fixed point first. With n the larger side and
+    B = _FIX_BITS, a pair weighs
+
+        2(n + 1) * 2**B + floor(objective * 2**B).
+
+    That is 2**B times its exact weight (2(n + 1) + objective) less under
+    one unit, so the cardinality term still comes first, and an exactly
+    optimal matching weighs less than `rows` units (the smaller side, the
+    most pairs a matching holds) below the one found.
+
+    Any other assignment of every row differs from the found one by
+    alternating cycles, and by paths that give up a matched column and
+    end on a free one. With the duals u, v the solver returns, a pair's
+    reduced cost u[i] + v[j] - weight is never negative and is zero on
+    the found pairs, and a free column has v = 0. So an assignment weighs
+    less than the found one by the reduced costs of its own pairs plus v
+    of each matched column it gives up, and the cheapest cycle or path
+    through a pair, over those costs, bounds that loss from below for
+    any assignment holding the pair. A pair whose bound is at least
+    `rows` is in no exactly optimal matching. If that rules out every
+    unmatched pair, the found pairs are the unique exact optimum.
+    Otherwise the exact optima all lie within the found and the doubtful
+    pairs, and `_exact_pairs` solves those, one connected component at a
+    time, with the exact tie-break."""
+    layout = cells, rows, cols = _layout(component, gids, pids)
+    bonus = 2 * (cols + 1) << _FIX_BITS
+    matrix = _matrix(layout, [bonus + (num << _FIX_BITS) // den
+                              for num, den in (objective[pair]
+                                               for pair in component)])
+    assignment, u, v = _max_weight_assignment(matrix)
+    # A loss of `rows` or more rules a pair out, so every cost is cut to
+    # `rows`: the test "bound < rows" reads the same on the cut costs.
+    rc = [[min(ui + vj - weight, rows) for vj, weight in zip(v, row)]
+          for ui, row in zip(u, matrix)]
+    matched, unmatched = [], []
+    for pair, (i, j) in zip(component, cells):
+        if assignment[i] == j:
+            matched.append(pair)
+        elif rc[i][j] < rows:
+            unmatched.append((pair, i, j))
+    if not unmatched:
+        return matched
+    # dist[a][b]: the cheapest chain of rows from a to b, each taking the
+    # column the next one holds in the found matching (Floyd-Warshall).
+    dist = [[costs[j] for j in assignment] for costs in rc]
+    for k, via_k in enumerate(dist):
+        for to in dist:
+            via = to[k]
+            if via < rows:
+                to[:] = [min(old, via + new) for old, new in zip(to, via_k)]
+    owner = dict(zip(assignment, range(rows)))
+    free = [j for j in range(cols) if j not in owner]
+    # to_sink[k]: the cheapest chain from row k to a free column (`rows`,
+    # out of reach, when none is free). start[i]: the cheapest start of a
+    # path that reaches row i, by giving up the column of row i or of a
+    # row that leads to it.
+    sink = [min((costs[j] for j in free), default=rows) for costs in rc]
+    to_sink = [min(d + e for d, e in zip(row, sink)) for row in dist]
+    start = [min(min(v[assignment[x]], rows) + dist[x][i]
+                 for x in range(rows)) for i in range(rows)]
+    doubtful = []
+    for pair, i, j in unmatched:
+        k = owner.get(j)
+        rest = (start[i] if k is None
+                else min(dist[k][i], start[i] + to_sink[k]))
+        if rc[i][j] + rest < rows:
+            doubtful.append(pair)
+    if not doubtful:
+        return matched
+    pairs = []
+    for part in _components(matched + doubtful):
+        pairs.extend(_exact_pairs(part, objective))
+    return pairs
+
+
+def _exact_pairs(component, objective):
+    """The optimal pairs of one connected component, as one exact
+    max-weight assignment on integers; the fallback of `_component_pairs`.
+    With n the larger side, D the lcm of the objectives' denominators and
+    K the number of pairs, the pair of sorted rank `code` (1-based) weighs
 
         (2(n + 1) + objective) * D * 3**K + 3**(K - code).
 
@@ -327,30 +450,27 @@ def _component_pairs(component, gids, pids, objective):
     1/D, so a nonzero objective difference outweighs the tie terms, which
     sum to less than 3**K / 2; and among the rest the larger tie sum holds
     the smallest pair of the symmetric difference."""
+    layout = cells, _, cols = _layout(component, {g for g, _ in component},
+                                      {p for _, p in component})
     count = len(component)
-    unit = math.lcm(*{den for _, den in objective.values()}) * 3 ** count
-    bonus = 2 * (max(len(gids), len(pids)) + 1) * unit
-    row_of = {g: i for i, g in enumerate(gids)}
-    col_of = {p: j for j, p in enumerate(pids)}
-    weight = [[0] * len(pids) for _ in gids]
-    for code, (g, p) in enumerate(component, start=1):
-        num, den = objective[(g, p)]
-        weight[row_of[g]][col_of[p]] = (
-            bonus + num * (unit // den) + 3 ** (count - code))
-    if len(gids) <= len(pids):
-        assigned = [(gids[i], pids[j])
-                    for i, j in enumerate(_max_weight_assignment(weight))]
-    else:
-        transposed = [list(column) for column in zip(*weight)]
-        assigned = [(gids[i], pids[j])
-                    for j, i in enumerate(_max_weight_assignment(transposed))]
-    return [pair for pair in assigned if pair in objective]
+    unit = math.lcm(*{objective[pair][1] for pair in component}) * 3 ** count
+    bonus = 2 * (cols + 1) * unit
+    weights = []
+    for code, pair in enumerate(component, start=1):
+        num, den = objective[pair]
+        weights.append(bonus + num * (unit // den) + 3 ** (count - code))
+    assignment = _max_weight_assignment(_matrix(layout, weights))[0]
+    return [pair for pair, (i, j) in zip(component, cells)
+            if assignment[i] == j]
 
 
 def _max_weight_assignment(weight):
     """Exact max-weight assignment of every row of an integer matrix with
     no more rows than columns (Hungarian method with potentials, on Python
-    ints). Returns the column assigned to each row."""
+    ints). Returns the column assigned to each row, and duals u (one per
+    row) and v (one per column) with u[i] + v[j] >= weight[i][j],
+    equality on the assignment, v >= 0, and v == 0 on every column the
+    assignment leaves free."""
     rows, cols = len(weight), len(weight[0])
     top = max(map(max, weight))
     cost = [[top - w for w in row] for row in weight]
@@ -399,7 +519,9 @@ def _max_weight_assignment(weight):
     for j in range(1, cols + 1):
         if match_row[j]:
             assignment[match_row[j] - 1] = j - 1
-    return assignment
+    # On costs top - weight the method keeps u[i] + v[j] <= cost, and only
+    # lowers v on columns it has matched.
+    return assignment, [top - x for x in u[1:]], [-x for x in v[1:]]
 
 
 def _match_result(scenario: _Scenario, alpha: Fraction,

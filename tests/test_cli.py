@@ -451,6 +451,20 @@ class TestValidate:
         assert err.count("duplicate query id") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_wrong_video_id_without_queries_exits_one(self, tmp_path,
+                                                      capsys):
+        data = _synth(tmp_path, queries=6)
+        queries = data / "gt" / "ovis" / "video0001" / "queries.json"
+        queries.write_text(json.dumps({"video_id": "wrong", "queries": []}))
+        shutil.rmtree(data / "pred" / "ovis" / "video0001")
+        code = main(["validate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert ("queries.json:$.video_id: video_id 'wrong' does not match "
+                "directory 'video0001'") in err
+        assert err.count("does not match directory") == 1
+
 
 class TestStats:
     def test_table(self, tmp_path, capsys):

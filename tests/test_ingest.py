@@ -322,6 +322,23 @@ class TestComputeStats:
             compute_stats(GroundTruthBundle())
 
 
+class TestLoadGroundTruth:
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_video_id_must_name_the_directory(self, tmp_path, kept):
+        """A queries.json names its video directory even when it lists no
+        query."""
+        bundle, _ = generate(ScenarioSpec(seed=3, queries=6))
+        write_split(tmp_path, "ovis", bundle)
+        path = tmp_path / "gt" / "ovis" / "video0001" / "queries.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({"video_id": "wrong",
+                                    "queries": doc["queries"][:kept]}))
+        with pytest.raises(IngestError, match=(
+                r"queries.json:\$\.video_id: video_id 'wrong' does not "
+                r"match directory 'video0001'$")):
+            load_split(tmp_path / "gt", None, "ovis")
+
+
 class TestLoadRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(spec=st.builds(

@@ -347,16 +347,95 @@ def _exhaustive_pairs(feasible, iou_table, alignment):
     return best
 
 
+def _solve_exactly(frame):
+    """`_optimal_pairs` on a `_tied_frames` frame, and the oracle's pairs."""
+    feasible, iou_table, alignment = frame
+    as_ints = [{pair: value.as_integer_ratio()
+                for pair, value in table.items()}
+               for table in (iou_table, alignment)]
+    return (spatial._optimal_pairs(feasible, *as_ints),
+            _exhaustive_pairs(*frame))
+
+
 class TestAssignment:
     @settings(max_examples=200, deadline=None)
     @given(_tied_frames())
     def test_optimal_pairs_match_exhaustive_search(self, frame):
-        feasible, iou_table, alignment = frame
-        as_ints = [{pair: value.as_integer_ratio()
-                    for pair, value in table.items()}
-                   for table in (iou_table, alignment)]
-        assert (spatial._optimal_pairs(feasible, *as_ints)
+        found, best = _solve_exactly(frame)
+        assert found == best
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        """Record the size of each component the exact solve runs on."""
+        calls = []
+        exact = spatial._exact_pairs
+
+        def counting(component, objective):
+            calls.append(len(component))
+            return exact(component, objective)
+
+        monkeypatch.setattr(spatial, "_exact_pairs", counting)
+        return calls
+
+    @pytest.mark.parametrize("bits", (1, 2))
+    def test_low_widths_fall_back_to_the_exact_solve(self, monkeypatch,
+                                                     bits):
+        """With one or two fixed-point bits most components are left in
+        doubt, and the exact solve over the doubtful pairs still gives the
+        oracle's matching."""
+        calls = self._count_fallbacks(monkeypatch)
+        monkeypatch.setattr(spatial, "_FIX_BITS", bits)
+
+        @settings(max_examples=200, deadline=None)
+        @given(_tied_frames())
+        def check(frame):
+            found, best = _solve_exactly(frame)
+            assert found == best
+
+        check()
+        assert calls
+
+    def test_doubt_reaches_paths_entering_a_row_from_behind(self,
+                                                            monkeypatch):
+        """Pair (1, 1) is in the unique fixed-point optimum, but (2, 5),
+        the tie-break's choice, is reached only by a path that gives up
+        another row's column first; its bound must count that start."""
+        monkeypatch.setattr(spatial, "_FIX_BITS", 8)
+        feasible = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (4, 5),
+                    (4, 6), (3, 5)]
+        iou_table = {pair: (1, 2) for pair in feasible}
+        alignment = {pair: (1, 6) for pair in feasible}
+        alignment[2, 5] = alignment[2, 6] = (1, 3)
+        assert (spatial._optimal_pairs(feasible, iou_table, alignment)
+                == [(1, 1), (2, 5), (4, 6)])
+
+    def test_tie_free_dense_frame_is_certified(self, monkeypatch):
+        """Every pair of a 6 x 6 frame is feasible and the k-th has
+        alignment 2**-k, so no two matchings tie: the fixed-point solve
+        alone decides it."""
+        calls = self._count_fallbacks(monkeypatch)
+        feasible = [(g, p) for g in range(1, 7) for p in range(1, 7)]
+        iou_table = {pair: (1, 2) for pair in feasible}
+        alignment = {pair: (1, 2 ** k)
+                     for k, pair in enumerate(feasible, start=1)}
+        frame = (feasible, {pair: Fraction(1, 2) for pair in feasible},
+                 {pair: Fraction(*value) for pair, value in alignment.items()})
+        assert (spatial._optimal_pairs(feasible, iou_table, alignment)
                 == _exhaustive_pairs(*frame))
+        assert calls == []
+
+    def test_exact_tie_falls_back_to_the_smaller_pair_list(self,
+                                                           monkeypatch):
+        """Both perfect matchings of a 2 x 2 frame have objective 2/3 plus
+        the same IoU term; the fixed-point solve cannot tell them apart,
+        and the exact solve picks the lexicographically smaller."""
+        calls = self._count_fallbacks(monkeypatch)
+        alignment = {(1, 1): (1, 3), (1, 2): (1, 2), (2, 1): (1, 6),
+                     (2, 2): (1, 3)}
+        iou_table = {pair: (1, 2) for pair in alignment}
+        assert (spatial._optimal_pairs(sorted(alignment), iou_table,
+                                       alignment) == [(1, 1), (2, 2)])
+        assert calls == [4]
 
     def test_solves_only_connected_components(self, monkeypatch):
         """Three overlapping referents and ten far-away predicted tracks: no
