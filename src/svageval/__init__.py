@@ -37,7 +37,7 @@ from .spatial import (
     hota_sweep,
     match_at_alpha,
 )
-from .idmap import IdMap, TemporalPair, build_id_map, build_temporal_pairs
+from .idmap import TemporalPair, build_id_map, build_temporal_pairs
 from .temporal import evaluate_temporal, nms, temporal_iou
 from .report import (
     DatasetReport,

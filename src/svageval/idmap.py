@@ -2,8 +2,9 @@
 
 Three steps: take the per-frame matching at threshold 0.5, resolve each
 ground-truth identity to its most frequent predicted counterpart by
-majority vote, then pair every referent's ground-truth segments with the
-scored segments of its mapped predicted track.
+majority vote (``build_id_map`` gives ``{gt id: predicted id}``), then pair
+every referent's ground-truth segments with the scored segments of its
+mapped predicted track, naming that track in the pair.
 """
 from __future__ import annotations
 
@@ -11,25 +12,6 @@ from dataclasses import dataclass
 
 from .model import PredictionSet, Query, ScoredSegment, TemporalSegment
 from .spatial import MAPPING_ALPHA, AlphaMatchResult
-
-
-@dataclass(frozen=True)
-class IdMap:
-    """gt_track_id -> predicted track_id, with the per-GT vote tallies
-    retained for diagnostics."""
-
-    mapping: dict[int, int]
-    votes: dict[int, dict[int, int]]
-
-    def duplicate_winners(self) -> dict[int, list[int]]:
-        """Predicted ids that won the vote for more than one GT id."""
-        by_pred: dict[int, list[int]] = {}
-        for gid, pid in self.mapping.items():
-            by_pred.setdefault(pid, []).append(gid)
-        return {pid: sorted(gids) for pid, gids in by_pred.items()
-                if len(gids) > 1}
-
-    __hash__ = None
 
 
 def _rank_key(cand: ScoredSegment):
@@ -40,23 +22,26 @@ def _rank_key(cand: ScoredSegment):
 class TemporalPair:
     """The unit of temporal evaluation: one referent's ground-truth
     segments against the ranked scored segments of its mapped prediction
-    (empty when the referent is unmapped). The temporal metrics read
-    ``predictions`` in the order ranked here."""
+    ``pred_track_id`` (``None`` and no segments when the referent is
+    unmapped). The temporal metrics read ``predictions`` in the order
+    ranked here."""
 
     query_id: str
     gt_track_id: int
     gt_segments: tuple[TemporalSegment, ...]
     predictions: tuple[ScoredSegment, ...]
+    pred_track_id: int | None = None
 
     def __post_init__(self):
         ranked = tuple(sorted(self.predictions, key=_rank_key))
         object.__setattr__(self, "predictions", ranked)
 
 
-def build_id_map(match_05: AlphaMatchResult) -> IdMap:
-    """Majority vote over matched frames at threshold 0.5. Ties go to the
-    ascending predicted id; GT ids with no matched frames stay unmapped.
-    The vote is per-GT-id, so one predicted id may win several GT ids."""
+def build_id_map(match_05: AlphaMatchResult) -> dict[int, int]:
+    """GT id -> predicted id, in ascending GT id, by majority vote over
+    matched frames at threshold 0.5. Ties go to the ascending predicted
+    id; GT ids with no matched frames stay unmapped. The vote is
+    per-GT-id, so one predicted id may win several GT ids."""
     if match_05.alpha != MAPPING_ALPHA:
         raise ValueError(
             f"id mapping requires the matching at alpha=0.5, "
@@ -66,15 +51,11 @@ def build_id_map(match_05: AlphaMatchResult) -> IdMap:
         for gid, pid, _ in fm.matches:
             tally = votes.setdefault(gid, {})
             tally[pid] = tally.get(pid, 0) + 1
-    mapping = {}
-    for gid in sorted(votes):
-        tally = votes[gid]
-        best = max(sorted(tally), key=lambda pid: tally[pid])
-        mapping[gid] = best
-    return IdMap(mapping=mapping, votes=votes)
+    return {gid: max(sorted(votes[gid]), key=votes[gid].__getitem__)
+            for gid in sorted(votes)}
 
 
-def build_temporal_pairs(id_map: IdMap, query: Query,
+def build_temporal_pairs(id_map: dict[int, int], query: Query,
                          preds: PredictionSet | None) -> list[TemporalPair]:
     """One pair per referent of the query, in referent order. Unmapped
     referents (and referents whose mapped id carries no temporal entry)
@@ -85,5 +66,6 @@ def build_temporal_pairs(id_map: IdMap, query: Query,
                 gt_track_id=referent.gt_track_id,
                 gt_segments=referent.gt_segments,
                 predictions=temporal.get(
-                    id_map.mapping.get(referent.gt_track_id), ()))
+                    pid := id_map.get(referent.gt_track_id), ()),
+                pred_track_id=pid)
             for referent in query.referents]

@@ -5,14 +5,18 @@ identity mapping -> temporal metrics -> per-dataset report.
 ``validate_split`` on every split and refuses, with a ``ValueError``
 listing them, any error diagnostic (a duplicate query id, an unresolved
 referent, a duplicate or orphan prediction set), so no such input is
-scored. Per-(video, query) evaluations are pure functions over immutable
-inputs; the queries of all datasets share one worker pool, and every
-reduction happens in canonical (dataset, video_id, query position)
-order, so the report bytes never depend on the worker count.
+scored. ``evaluate_query`` scores each (video, query) once, as a pure
+function over immutable inputs. The queries of all datasets share one
+worker pool of at most ``jobs`` workers, and no more than there are
+queries or CPUs; with one worker they are scored in this process. Every
+reduction, the duplicate vote winners read from each query's temporal
+pairs included, happens in canonical (dataset, video_id, query position)
+order, so the report bytes and the log never depend on the worker count.
 """
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
@@ -34,25 +38,32 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     GT is the query's referent tracks restricted to their action segments;
     every predicted detection participates, so predictions tracking
     non-referent objects become false positives. A missing prediction set
-    scores zero. Every referent must resolve to a GT track of the video,
-    which ``validate_split`` checks."""
-    components, pairs, _ = _score_query((video, query, predset))
+    scores zero. A referent whose track is not in the video raises
+    ValueError, as ``validate_split`` reports it."""
+    gt_tracks = []
+    for referent in query.referents:
+        track = video.tracks.get(referent.gt_track_id)
+        if track is None:
+            raise ValueError(
+                f"{video.video_id}/{query.query_id}: unresolved referent: "
+                f"track {referent.gt_track_id} not in GT tracks")
+        gt_tracks.append(restrict_track(track, referent.gt_segments))
+    pred_tracks = list(predset.tracks) if predset is not None else []
+    components, match_05 = hota_sweep(gt_tracks, pred_tracks)
+    pairs = build_temporal_pairs(build_id_map(match_05), query, predset)
     return components, pairs
 
 
-def _score_query(unit):
-    """``evaluate_query``'s components and pairs for a (video, query,
-    prediction set) unit, and the predicted ids that won the identity vote
-    for more than one GT id."""
-    video, query, predset = unit
-    gt_tracks = [restrict_track(video.tracks[referent.gt_track_id],
-                                referent.gt_segments)
-                 for referent in query.referents]
-    pred_tracks = list(predset.tracks) if predset is not None else []
-    components, match_05 = hota_sweep(gt_tracks, pred_tracks)
-    id_map = build_id_map(match_05)
-    pairs = build_temporal_pairs(id_map, query, predset)
-    return components, pairs, id_map.duplicate_winners()
+def _duplicate_winners(pairs) -> dict[int, list[int]]:
+    """Predicted ids that won the vote for more than one referent of a
+    query, each with those referents' GT ids in ascending order."""
+    by_pred: dict[int, list[int]] = {}
+    for pair in pairs:
+        if pair.pred_track_id is not None:
+            by_pred.setdefault(pair.pred_track_id, []).append(
+                pair.gt_track_id)
+    return {pid: sorted(gids) for pid, gids in by_pred.items()
+            if len(gids) > 1}
 
 
 def _query_units(split: DatasetSplit):
@@ -91,27 +102,28 @@ def evaluate_datasets(splits, nms_threshold: float | None,
         if predset is None:
             log.warning("no predictions for %s/%s; query scores 0",
                         video.video_id, query.query_id)
-    if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_score_query, units,
-                                    chunksize=max(1, len(units) // (4 * jobs))))
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(
+                evaluate_query, *zip(*units),
+                chunksize=max(1, len(units) // (4 * workers))))
     else:
-        results = [_score_query(unit) for unit in units]
+        results = [evaluate_query(*unit) for unit in units]
     results = iter(results)
     reports = []
     for split, split_units in zip(splits, per_split):
         split_results = list(islice(results, len(split_units)))
-        for (video, query, _), (_, _, duplicates) in zip(split_units,
-                                                         split_results):
-            for pid in sorted(duplicates):
+        for (video, query, _), (_, query_pairs) in zip(split_units,
+                                                       split_results):
+            for pid, gids in sorted(_duplicate_winners(query_pairs).items()):
                 log.warning("%s/%s/%s: predicted id %d won the vote for GT "
                             "ids %s", split.name, video.video_id,
-                            query.query_id, pid, duplicates[pid])
-        pairs = [p for _, query_pairs, _ in split_results
-                 for p in query_pairs]
+                            query.query_id, pid, gids)
+        pairs = [p for _, query_pairs in split_results for p in query_pairs]
         reports.append(DatasetReport(
             name=split.name,
-            spatial=mean_components([c for c, _, _ in split_results]),
+            spatial=mean_components([c for c, _ in split_results]),
             temporal=evaluate_temporal(pairs, nms_threshold),
             query_count=len(split_units),
             referent_count=len(pairs),

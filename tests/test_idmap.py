@@ -16,6 +16,7 @@ from svageval.model import (
     ScoredSegment,
     TemporalSegment,
 )
+from svageval.pipeline import _duplicate_winners
 from svageval.spatial import match_at_alpha
 
 from conftest import constant_track, make_track
@@ -33,24 +34,19 @@ class TestBuildIdMap:
         pred = [make_track(7, [(1, unit_box), (2, unit_box), (3, unit_box),
                                (4, far), (5, far)]),
                 make_track(8, [(4, unit_box), (5, unit_box)])]
-        id_map = build_id_map(_match(gt, pred))
-        assert id_map.mapping == {1: 7}
-        assert id_map.votes[1] == {7: 3, 8: 2}
+        assert build_id_map(_match(gt, pred)) == {1: 7}
 
     def test_vote_tie_goes_to_smaller_pred_id(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 5))]
         pred = [make_track(9, [(1, unit_box), (2, unit_box)]),
                 make_track(4, [(3, unit_box), (4, unit_box)])]
-        id_map = build_id_map(_match(gt, pred))
-        assert id_map.mapping == {1: 4}
+        assert build_id_map(_match(gt, pred)) == {1: 4}
 
     def test_unmatched_gt_stays_unmapped(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 3)),
               constant_track(2, BoundingBox(50, 50, 5, 5), range(1, 3))]
         pred = [constant_track(1, unit_box, range(1, 3))]
-        id_map = build_id_map(_match(gt, pred))
-        assert id_map.mapping == {1: 1}
-        assert 2 not in id_map.votes
+        assert build_id_map(_match(gt, pred)) == {1: 1}
 
     def test_not_globally_one_to_one(self, unit_box):
         """One predicted track can win the vote for several GT ids; that is
@@ -60,8 +56,11 @@ class TestBuildIdMap:
               make_track(2, [(3, near), (4, near)])]
         pred = [constant_track(5, unit_box, range(1, 5))]
         id_map = build_id_map(_match(gt, pred))
-        assert id_map.mapping == {1: 5, 2: 5}
-        assert id_map.duplicate_winners() == {5: [1, 2]}
+        assert id_map == {1: 5, 2: 5}
+        query = Query("q", "v", "", (Referent(1, (TemporalSegment(1, 2),)),
+                                     Referent(2, (TemporalSegment(3, 4),))))
+        pairs = build_temporal_pairs(id_map, query, None)
+        assert _duplicate_winners(pairs) == {5: [1, 2]}
 
     def test_wrong_alpha_rejected(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 3))]
@@ -117,3 +116,11 @@ class TestBuildTemporalPairs:
         id_map = build_id_map(_match(gt, list(preds.tracks)))
         pairs = build_temporal_pairs(id_map, query, bare)
         assert pairs[0].predictions == ()
+
+    def test_pair_names_its_mapped_track(self, unit_box):
+        """Each pair carries the vote winner of its referent, and ``None``
+        for an unmapped referent."""
+        gt, preds, query = self._fixtures(unit_box)
+        id_map = build_id_map(_match(gt, list(preds.tracks)))
+        pairs = build_temporal_pairs(id_map, query, preds)
+        assert [p.pred_track_id for p in pairs] == [3, None]

@@ -3,15 +3,16 @@ import dataclasses
 import pytest
 
 from svageval import pipeline
+from svageval.idmap import TemporalPair
 from svageval.ingest import DatasetSplit
 from svageval.model import Referent, TemporalSegment
 from svageval.pipeline import evaluate_datasets
 from svageval.synth import ScenarioSpec, generate
 
 
-def _split(name="synth"):
+def _split(name="synth", queries=4):
     bundle, predictions = generate(ScenarioSpec(
-        seed=3, queries=4, id_switch_prob=0.2, box_jitter=1.5))
+        seed=3, queries=queries, id_switch_prob=0.2, box_jitter=1.5))
     return DatasetSplit(name, bundle, predictions)
 
 
@@ -71,23 +72,84 @@ class TestEvaluateSplit:
 
     def test_one_pool_for_all_datasets(self, monkeypatch):
         """All datasets' queries go through a single worker pool."""
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        pools = _inline_pools(monkeypatch, cpus=4)
         splits = [_split("ovis"), _split("mot17")]
         pooled = evaluate_datasets(splits, 0.7, jobs=2)
         assert pools == [2]
         assert pooled == evaluate_datasets(splits, 0.7, jobs=1)
+
+    def test_unresolved_referent_named_by_evaluate_query(self):
+        """Library input with a referent outside the video's tracks is a
+        ValueError naming the query, not a bare KeyError."""
+        video = _split().bundle.videos["video0001"]
+        query = video.queries[0]
+        query = dataclasses.replace(query, referents=query.referents
+                                    + (Referent(99, (TemporalSegment(1, 2),)),))
+        with pytest.raises(ValueError, match=(
+                f"^video0001/{query.query_id}: unresolved referent: "
+                f"track 99 not in GT tracks$")):
+            pipeline.evaluate_query(video, query, None)
+
+
+def _inline_pools(monkeypatch, cpus):
+    """Make ``evaluate_datasets`` see ``cpus`` CPUs and map through an
+    in-process pool; returns the ``max_workers`` of each pool started."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+    return pools
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("cpus, queries, started", [
+        (8, 4, [4]), (3, 4, [3]), (1, 4, []), (None, 4, []), (8, 1, [])],
+        ids=["queries", "cpus", "one_cpu", "unknown_cpus", "one_query"])
+    def test_workers_capped_by_queries_and_cpus(self, monkeypatch, cpus,
+                                                queries, started):
+        """A huge ``jobs`` starts no more workers than there are queries
+        or CPUs, and no pool when that leaves one worker."""
+        pools = _inline_pools(monkeypatch, cpus=cpus)
+        split = _split(queries=queries)
+        pooled = evaluate_datasets([split], 0.7, jobs=10**6)
+        assert pools == started
+        assert pooled == evaluate_datasets([split], 0.7, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_query_scored_once(self, monkeypatch, jobs):
+        """Both paths score each query through ``evaluate_query``, once."""
+        _inline_pools(monkeypatch, cpus=2)
+        calls = []
+        score = pipeline.evaluate_query
+
+        def counting(video, query, predset):
+            calls.append((video.video_id, query.query_id))
+            return score(video, query, predset)
+
+        monkeypatch.setattr(pipeline, "evaluate_query", counting)
+        split = _split()
+        evaluate_datasets([split], 0.7, jobs=jobs)
+        assert calls == [(video_id, query.query_id)
+                         for video_id, video in sorted(
+                             split.bundle.videos.items())
+                         for query in video.queries]
+
+
+def test_duplicate_winners_ignore_unmapped_referents():
+    segments = (TemporalSegment(1, 2),)
+    pairs = [TemporalPair("q", gid, segments, (), pid)
+             for gid, pid in ((4, 5), (1, None), (3, None), (2, 5), (6, 7))]
+    assert pipeline._duplicate_winners(pairs) == {5: [2, 4]}

@@ -209,7 +209,10 @@ class TestIdRenaming:
         renamed, renamed_pairs = score(gt_map, pred_map)
         assert renamed == components
         assert renamed_pairs == [
-            dataclasses.replace(p, gt_track_id=gt_map[p.gt_track_id])
+            dataclasses.replace(
+                p, gt_track_id=gt_map[p.gt_track_id],
+                pred_track_id=None if p.pred_track_id is None
+                else pred_map[p.pred_track_id])
             for p in pairs]
         for threshold in (None, 0.7):
             assert (evaluate_temporal(renamed_pairs, threshold)
