@@ -37,8 +37,8 @@ from .spatial import (
     hota_sweep,
     match_at_alpha,
 )
-from .idmap import TemporalPair, build_id_map, build_temporal_pairs
-from .temporal import evaluate_temporal, nms, temporal_iou
+from .temporal import (TemporalPair, build_temporal_pairs, evaluate_temporal,
+                       nms, temporal_iou)
 from .report import (
     DatasetReport,
     FinalReport,

@@ -1,17 +1,24 @@
 """End-to-end evaluation: ingest output -> spatial HOTA per query ->
 identity mapping -> temporal metrics -> per-dataset report.
 
-``evaluate_datasets`` is the one scorer of in-memory splits. It first runs
-``validate_split`` on every split and refuses, with a ``ValueError``
-listing them, any error diagnostic (a duplicate query id, an unresolved
-referent, a duplicate or orphan prediction set), so no such input is
-scored. ``evaluate_query`` scores each (video, query) once, as a pure
-function over immutable inputs. The queries of all datasets share one
-worker pool of at most ``jobs`` workers, and no more than there are
-queries or CPUs; with one worker they are scored in this process. Every
-reduction, the duplicate vote winners read from each query's temporal
-pairs included, happens in canonical (dataset, video_id, query position)
-order, so the report bytes and the log never depend on the worker count.
+The layers meet in three steps per query: ``hota_sweep`` matches each
+frame at threshold 0.5 (among the others) and maps each ground-truth
+identity to its most frequent predicted counterpart there by majority
+vote; ``build_temporal_pairs`` then pairs every referent's ground-truth
+segments with the scored segments of its mapped track, naming it.
+
+``evaluate_datasets`` is the one scorer of in-memory splits. It first
+refuses an NMS threshold outside [0, 1], then runs ``validate_split`` on
+every split and refuses, with a ``ValueError`` listing them, any error
+diagnostic (a duplicate query id, an unresolved referent, a duplicate or
+orphan prediction set), so no such input is scored. ``evaluate_query``
+scores each (video, query) once, as a pure function over immutable inputs.
+The queries of all datasets share one worker pool of at most ``jobs``
+workers, and no more than there are queries or CPUs; with one worker they
+are scored in this process. Every reduction, the duplicate vote winners
+read from each query's temporal pairs included, happens in canonical
+(dataset, video_id, query position) order, so the report bytes and the log
+never depend on the worker count.
 """
 from __future__ import annotations
 
@@ -20,12 +27,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
-from .idmap import TemporalPair, build_id_map, build_temporal_pairs
 from .ingest import DatasetSplit, VideoGroundTruth, validate_split
 from .model import HotaComponents, PredictionSet, Query
 from .report import DatasetReport, FinalReport, build_final_report
 from .spatial import hota_sweep, mean_components, restrict_track
-from .temporal import evaluate_temporal
+from .temporal import (TemporalPair, build_temporal_pairs, evaluate_temporal,
+                       nms)
 
 log = logging.getLogger(__name__)
 
@@ -49,9 +56,8 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
                 f"track {referent.gt_track_id} not in GT tracks")
         gt_tracks.append(restrict_track(track, referent.gt_segments))
     pred_tracks = list(predset.tracks) if predset is not None else []
-    components, match_05 = hota_sweep(gt_tracks, pred_tracks)
-    pairs = build_temporal_pairs(build_id_map(match_05), query, predset)
-    return components, pairs
+    components, id_map = hota_sweep(gt_tracks, pred_tracks)
+    return components, build_temporal_pairs(id_map, query, predset)
 
 
 def _duplicate_winners(pairs) -> dict[int, list[int]]:
@@ -79,10 +85,12 @@ def _query_units(split: DatasetSplit):
 def evaluate_datasets(splits, nms_threshold: float | None,
                       jobs: int = 1) -> FinalReport:
     """Validate every split, score all their queries and aggregate each
-    dataset. A split with error diagnostics or without queries raises
-    ValueError before anything is scored; queries without predictions
-    score 0 (logged). The worker count changes wall time only, never
-    output values."""
+    dataset. An NMS threshold outside [0, 1], or a split with error
+    diagnostics or without queries, raises ValueError before anything is
+    scored; queries without predictions score 0 (logged). The worker count
+    changes wall time only, never output values."""
+    if nms_threshold is not None:
+        nms((), nms_threshold)  # raises on a threshold outside [0, 1]
     splits = list(splits)
     names = [split.name for split in splits]
     for name in names:

@@ -17,12 +17,17 @@ Per threshold the work is on ints only. `match` keeps the pairs with
 inter * den >= num * union, counts each track pair's alignment as (frames
 matched, frames where either track appears) and solves each frame's
 assignment into a plain list of (frame, sorted pairs); `ratios` reduces
-that matching to (numerator, denominator) pairs. Each mean over
-thresholds is taken over one common denominator and converted by one int
-true division, which rounds correctly, so it is the float of the exact
-value. A `Fraction` IoU is built only for the one matching `hota_sweep`
-or `match_at_alpha` returns (by `_match_result`) and in the exact LocA
-fallback.
+that matching to (numerator, denominator) pairs, and counts each track
+pair's matched frames. Each mean over thresholds is taken over one common
+denominator and converted by one int true division, which rounds
+correctly, so it is the float of the exact value. A `Fraction` IoU is
+built only for the matching `match_at_alpha` returns and in the exact
+LocA fallback.
+
+The same counts at MAPPING_ALPHA are the identity vote: `hota_sweep` maps
+each GT id to the predicted id it matched in the most frames there, ties
+going to the smaller predicted id. A GT id matched in no frame stays
+unmapped, and one predicted id may win several GT ids.
 
 LocA is bounded instead: the floors of the matched IoUs sum to a lower
 bound, and adding the number of inexact floors gives an upper bound. Both
@@ -216,7 +221,8 @@ class _Scenario:
     def ratios(self, matching) -> dict:
         """The HOTA fields of a `match` result: hota as a float, tp/fn/fp
         as ints, loc_a as its (lower, upper) bounds and the other ratios,
-        each bound included, as (numerator, denominator) int pairs."""
+        each bound included, as (numerator, denominator) int pairs; and
+        tpa, each matched (gt, pred) pair's count of matched frames."""
         tpa: dict[tuple[int, int], int] = {}
         floors = inexact = 0
         for frame, pairs in matching:
@@ -232,14 +238,15 @@ class _Scenario:
         if tp + fn == 0 and tp + fp == 0:
             # Fully-empty scenario: vacuously perfect.
             return {**dict.fromkeys(_EXACT_FIELDS, (1, 1)), "hota": 1.0,
-                    "loc_a": ((1, 1), (1, 1)), "tp": 0, "fn": 0, "fp": 0}
+                    "loc_a": ((1, 1), (1, 1)), "tp": 0, "fn": 0, "fp": 0,
+                    "tpa": tpa}
         values = {
             "det_a": (tp, tp + fn + fp),
             "det_re": (tp, tp + fn) if tp + fn else (0, 1),
             "det_pr": (tp, tp + fp) if tp + fp else (0, 1),
             "ass_a": (0, 1), "ass_re": (0, 1), "ass_pr": (0, 1),
             "loc_a": ((0, 1), (0, 1)),
-            "tp": tp, "fn": fn, "fp": fp,
+            "tp": tp, "fn": fn, "fp": fp, "tpa": tpa,
         }
         if tp:
             terms = {"ass_a": [], "ass_re": [], "ass_pr": []}
@@ -524,24 +531,17 @@ def _max_weight_assignment(weight):
     return assignment, [top - x for x in u[1:]], [-x for x in v[1:]]
 
 
-def _match_result(scenario: _Scenario, alpha: Fraction,
-                  matching) -> AlphaMatchResult:
-    """A `match` result as the public AlphaMatchResult, with the IoU of
-    each matched pair as a Fraction."""
-    frames = []
-    for frame, pairs in matching:
-        table = scenario.iou[frame]
-        frames.append(FrameMatch(frame, tuple(
-            (g, p, Fraction(*table[g, p][:2])) for g, p in pairs)))
-    return AlphaMatchResult(alpha=alpha, frames=tuple(frames))
-
-
 def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:
     """Per-frame optimal one-to-one matching at one threshold, guided by the
-    track alignment at that threshold."""
+    track alignment at that threshold, with the IoU of each matched pair as
+    a Fraction."""
     alpha = _as_alpha(alpha)
     scenario = _Scenario(gt_tracks, pred_tracks)
-    return _match_result(scenario, alpha, scenario.match(alpha))
+    iou = scenario.iou
+    return AlphaMatchResult(alpha=alpha, frames=tuple(
+        FrameMatch(frame, tuple((g, p, Fraction(*iou[frame][g, p][:2]))
+                                for g, p in pairs))
+        for frame, pairs in scenario.match(alpha)))
 
 
 def _as_alpha(alpha) -> Fraction:
@@ -565,9 +565,12 @@ def _exact_loc_a(scenario: _Scenario, matchings) -> float:
     return float(total / len(matchings))
 
 
-def _hota_components(scenario: _Scenario, matchings) -> HotaComponents:
-    """The HOTA fields averaged over the matchings, one per threshold; with
-    more than one the result is alpha-averaged and its counts are means."""
+def _hota_components(scenario: _Scenario, alphas
+                     ) -> tuple[HotaComponents, list[dict]]:
+    """The HOTA fields averaged over the thresholds, and each threshold's
+    `ratios`. With more than one threshold the result is alpha-averaged
+    and its counts are means."""
+    matchings = [scenario.match(alpha) for alpha in alphas]
     per_alpha = [scenario.ratios(matching) for matching in matchings]
     n = len(per_alpha)
     fields = {"hota": sum(values["hota"] for values in per_alpha) / n}
@@ -580,25 +583,30 @@ def _hota_components(scenario: _Scenario, matchings) -> HotaComponents:
     for name in _COUNT_FIELDS:
         total = sum(values[name] for values in per_alpha)
         fields[name] = total / n if n > 1 else total
-    return HotaComponents(**fields, alpha_averaged=n > 1)
+    return HotaComponents(**fields, alpha_averaged=n > 1), per_alpha
 
 
 def hota_at_alpha(gt_tracks, pred_tracks, alpha) -> HotaComponents:
     """HOTA decomposition at a single localization threshold."""
     scenario = _Scenario(gt_tracks, pred_tracks)
-    return _hota_components(scenario, [scenario.match(_as_alpha(alpha))])
+    return _hota_components(scenario, [_as_alpha(alpha)])[0]
 
 
 def hota_sweep(gt_tracks, pred_tracks
-               ) -> tuple[HotaComponents, AlphaMatchResult]:
-    """Each component averaged over the threshold sweep, and the sweep's
-    matching at MAPPING_ALPHA. The aggregate HOTA is the mean of the
+               ) -> tuple[HotaComponents, dict[int, int]]:
+    """Each component averaged over the threshold sweep, and the identity
+    map {gt id: predicted id} in ascending GT id: the vote over the
+    matched frames at MAPPING_ALPHA. The aggregate HOTA is the mean of the
     per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
     scenario = _Scenario(gt_tracks, pred_tracks)
-    matchings = [scenario.match(alpha) for alpha in ALPHAS]
-    return (_hota_components(scenario, matchings),
-            _match_result(scenario, MAPPING_ALPHA,
-                          matchings[ALPHAS.index(MAPPING_ALPHA)]))
+    components, per_alpha = _hota_components(scenario, ALPHAS)
+    tpa = per_alpha[ALPHAS.index(MAPPING_ALPHA)]["tpa"]
+    # Ascending GT id, then most matched frames, then ascending predicted
+    # id: the first pair of each GT id is its vote's winner.
+    id_map: dict[int, int] = {}
+    for gid, pid in sorted(tpa, key=lambda p: (p[0], -tpa[p], p[1])):
+        id_map.setdefault(gid, pid)
+    return components, id_map
 
 
 def restrict_track(track: Track, segments) -> Track:

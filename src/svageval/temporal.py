@@ -1,20 +1,66 @@
 """Temporal grounding metrics over referent pairs: R@k, mAP, mIoU, with
 optional temporal non-maximum suppression.
 
-Each pair is scanned once. Its ranked candidates' IoUs against its
-ground-truth segments go into one table; one greedy-claim pass over that
-table per τ gives the pair's AP and the rank of its first hit, and the
-table's first row gives its top-1 IoU. ``evaluate_temporal`` reduces these
-per-pair values in pair order: R@k is the share of pairs whose first hit
-ranks at or below k, mAP the mean AP and mIoU the mean top-1 IoU.
+`build_temporal_pairs` gives each referent a `TemporalPair`: its
+ground-truth segments and the ranked scored segments of the predicted
+track the identity map names. Each pair is scanned once. Its ranked
+candidates' IoUs against its ground-truth segments go into one table; one
+greedy-claim pass over that table per τ gives the pair's AP and the rank
+of its first hit, and the table's first row gives its top-1 IoU.
+``evaluate_temporal`` reduces these per-pair values in pair order: R@k is
+the share of pairs whose first hit ranks at or below k, mAP the mean AP
+and mIoU the mean top-1 IoU.
 """
 from __future__ import annotations
 
-from .idmap import _rank_key
-from .model import ScoredSegment, TemporalMetrics, TemporalSegment
+from dataclasses import dataclass
+
+from .model import (PredictionSet, Query, ScoredSegment, TemporalMetrics,
+                    TemporalSegment, ValidationError)
 
 TAUS: tuple[float, ...] = (0.1, 0.3, 0.5)
 RECALL_KS: tuple[int, ...] = (1, 5, 10)
+
+
+def _rank_key(cand: ScoredSegment):
+    return (-cand.score, cand.segment.start, cand.segment.end)
+
+
+@dataclass(frozen=True)
+class TemporalPair:
+    """The unit of temporal evaluation: one referent's ground-truth
+    segments, which must be non-empty, against the ranked scored segments
+    of its mapped prediction ``pred_track_id`` (``None`` and no segments
+    when the referent is unmapped). The temporal metrics read
+    ``predictions`` in the order ranked here."""
+
+    query_id: str
+    gt_track_id: int
+    gt_segments: tuple[TemporalSegment, ...]
+    predictions: tuple[ScoredSegment, ...]
+    pred_track_id: int | None = None
+
+    def __post_init__(self):
+        if not self.gt_segments:
+            raise ValidationError("gt_segments", "must be non-empty")
+        ranked = tuple(sorted(self.predictions, key=_rank_key))
+        object.__setattr__(self, "predictions", ranked)
+
+
+def build_temporal_pairs(id_map: dict[int, int], query: Query,
+                         preds: PredictionSet | None) -> list[TemporalPair]:
+    """One pair per referent of the query, in referent order. Unmapped
+    referents (and referents whose mapped id carries no temporal entry)
+    yield pairs with empty predictions rather than being dropped."""
+    temporal = preds.temporal if preds is not None else {}
+    return [TemporalPair(
+                query_id=query.query_id,
+                gt_track_id=referent.gt_track_id,
+                gt_segments=referent.gt_segments,
+                predictions=temporal.get(
+                    pid := id_map.get(referent.gt_track_id), ()),
+                pred_track_id=pid)
+            for referent in query.referents]
 
 
 def temporal_iou(a: TemporalSegment, b: TemporalSegment) -> float:
@@ -28,7 +74,8 @@ def temporal_iou(a: TemporalSegment, b: TemporalSegment) -> float:
 
 def nms(candidates, threshold: float) -> list[ScoredSegment]:
     """Greedy suppression: keep the best-scoring candidate, drop every
-    remaining one overlapping a kept candidate beyond the threshold."""
+    remaining one overlapping a kept candidate beyond the threshold. A
+    threshold outside [0, 1] raises ValueError, with no candidates too."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"nms threshold must be in [0, 1], got {threshold}")
     ranked = sorted(candidates, key=_rank_key)

@@ -6,8 +6,8 @@ from hypothesis import settings, strategies as st
 
 from svageval.model import BoundingBox, Detection, ScoredSegment, \
     TemporalSegment, Track
-from svageval.idmap import TemporalPair
 from svageval.synth import MAX_ORACLE_FRAMES, MAX_ORACLE_TRACKS
+from svageval.temporal import TemporalPair
 
 # `HYPOTHESIS_PROFILE=ci` draws the same examples on every run, so that a
 # property that fails in CI fails the same way on any machine.

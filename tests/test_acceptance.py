@@ -6,7 +6,6 @@ import json
 import random
 
 from svageval.cli import EXIT_OK, main
-from svageval.idmap import TemporalPair
 from svageval.model import ScoredSegment, TemporalSegment
 from svageval.pipeline import evaluate_datasets
 from svageval.report import m_hiou
@@ -23,7 +22,7 @@ from svageval.synth import (
     oracle_temporal,
     write_split,
 )
-from svageval.temporal import evaluate_temporal
+from svageval.temporal import TemporalPair, evaluate_temporal
 from svageval.ingest import DatasetSplit
 from svageval._util import format_fixed
 

@@ -3,11 +3,11 @@ import dataclasses
 import pytest
 
 from svageval import pipeline
-from svageval.idmap import TemporalPair
 from svageval.ingest import DatasetSplit
 from svageval.model import Referent, TemporalSegment
 from svageval.pipeline import evaluate_datasets
 from svageval.synth import ScenarioSpec, generate
+from svageval.temporal import TemporalPair, nms
 
 
 def _split(name="synth", queries=4):
@@ -89,6 +89,24 @@ class TestEvaluateSplit:
                 f"^video0001/{query.query_id}: unresolved referent: "
                 f"track 99 not in GT tracks$")):
             pipeline.evaluate_query(video, query, None)
+
+    def test_bad_nms_threshold_refused_before_scoring(self, monkeypatch):
+        """A threshold outside [0, 1] is refused, with the message
+        ``nms`` gives, before any query is scored."""
+        calls = []
+        score = pipeline.evaluate_query
+
+        def counting(*unit):
+            calls.append(unit)
+            return score(*unit)
+
+        monkeypatch.setattr(pipeline, "evaluate_query", counting)
+        with pytest.raises(ValueError) as expected:
+            nms([], 1.5)
+        with pytest.raises(ValueError) as refused:
+            evaluate_datasets([_split()], 1.5)
+        assert str(refused.value) == str(expected.value)
+        assert calls == []
 
 
 def _inline_pools(monkeypatch, cpus):

@@ -26,10 +26,12 @@ from svageval.model import (
 from svageval.pipeline import evaluate_query
 from svageval.spatial import (
     ALPHAS,
+    MAPPING_ALPHA,
     AlphaMatchResult,
     FrameMatch,
     hota_at_alpha,
     hota_sweep,
+    match_at_alpha,
 )
 from svageval.synth import oracle_hota, oracle_temporal
 from svageval.temporal import evaluate_temporal, nms
@@ -159,14 +161,20 @@ class TestIdRenaming:
             pred = _with_twins(pred)
         gt_map = _increasing_map(data, [t.track_id for t in gt])
         pred_map = _increasing_map(data, [t.track_id for t in pred])
-        components, match_05 = hota_sweep(gt, pred)
-        renamed, renamed_05 = hota_sweep(_renamed(gt, gt_map),
-                                         _renamed(pred, pred_map))
+        renamed_gt = _renamed(gt, gt_map)
+        renamed_pred = _renamed(pred, pred_map)
+        components, id_map = hota_sweep(gt, pred)
+        renamed, renamed_map = hota_sweep(renamed_gt, renamed_pred)
         assert renamed == components
-        assert renamed_05 == AlphaMatchResult(match_05.alpha, tuple(
+        assert list(renamed_map.items()) == [
+            (gt_map[g], pred_map[p]) for g, p in id_map.items()]
+        match_05 = match_at_alpha(gt, pred, MAPPING_ALPHA)
+        expected = AlphaMatchResult(MAPPING_ALPHA, tuple(
             FrameMatch(fm.frame, tuple((gt_map[g], pred_map[p], iou)
                                        for g, p, iou in fm.matches))
             for fm in match_05.frames))
+        assert match_at_alpha(renamed_gt, renamed_pred,
+                              MAPPING_ALPHA) == expected
 
 
     @settings(max_examples=100, deadline=None)

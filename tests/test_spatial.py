@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from svageval import spatial, synth
-from svageval.model import BoundingBox, TemporalSegment, ValidationError
-from svageval.pipeline import evaluate_query
+from svageval.model import (BoundingBox, Detection, Query, Referent,
+                            TemporalSegment, Track, ValidationError)
+from svageval.pipeline import _duplicate_winners, evaluate_query
 from svageval.spatial import (
     ALPHAS,
     MAPPING_ALPHA,
@@ -23,6 +24,7 @@ from svageval.spatial import (
 )
 
 from svageval.synth import ScenarioSpec, generate
+from svageval.temporal import build_temporal_pairs
 
 from conftest import (constant_track, float_scenarios, make_track,
                       random_tracks)
@@ -266,15 +268,89 @@ class TestSweepDecomposition:
         assert saw_gap, "sweep never separated the two formulas"
 
 
-class TestOnePass:
-    def test_sweep_returns_its_mapping_match(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            gt = random_tracks(rng, 3, 6, id_base=1)
-            pred = random_tracks(rng, 3, 6, id_base=1)
-            _, match_05 = hota_sweep(gt, pred)
-            assert match_05 == match_at_alpha(gt, pred, MAPPING_ALPHA)
+def _cut_in_two(rng, tracks):
+    """Each track as two ids: its own id before a random frame, and its
+    id + 10 from that frame on."""
+    halves = []
+    for track in tracks:
+        cut = rng.randint(1, 6)
+        for tid, after in ((track.track_id, False),
+                           (track.track_id + 10, True)):
+            dets = tuple(Detection(d.frame, tid, d.box)
+                         for d in track.detections
+                         if (d.frame >= cut) == after)
+            if dets:
+                halves.append(Track(tid, dets))
+    return halves
 
+
+class TestIdentityVote:
+    """``hota_sweep``'s identity map: each GT id to the predicted id it
+    matched in the most frames at MAPPING_ALPHA."""
+
+    def test_majority_vote(self, unit_box):
+        far = BoundingBox(50, 50, 10, 10)
+        gt = [constant_track(1, unit_box, range(1, 6))]
+        # pred 7 covers 3 frames, pred 8 covers the other 2 elsewhere-placed
+        pred = [make_track(7, [(1, unit_box), (2, unit_box), (3, unit_box),
+                               (4, far), (5, far)]),
+                make_track(8, [(4, unit_box), (5, unit_box)])]
+        assert hota_sweep(gt, pred)[1] == {1: 7}
+
+    def test_vote_tie_goes_to_smaller_pred_id(self, unit_box):
+        gt = [constant_track(1, unit_box, range(1, 5))]
+        pred = [make_track(9, [(1, unit_box), (2, unit_box)]),
+                make_track(4, [(3, unit_box), (4, unit_box)])]
+        assert hota_sweep(gt, pred)[1] == {1: 4}
+
+    def test_unmatched_gt_stays_unmapped(self, unit_box):
+        gt = [constant_track(1, unit_box, range(1, 3)),
+              constant_track(2, BoundingBox(50, 50, 5, 5), range(1, 3))]
+        pred = [constant_track(1, unit_box, range(1, 3))]
+        assert hota_sweep(gt, pred)[1] == {1: 1}
+
+    def test_not_globally_one_to_one(self, unit_box):
+        """One predicted track can win the vote for several GT ids; that is
+        reported, not prevented."""
+        near = BoundingBox(0, 1, 10, 10)
+        gt = [make_track(1, [(1, unit_box), (2, unit_box)]),
+              make_track(2, [(3, near), (4, near)])]
+        pred = [constant_track(5, unit_box, range(1, 5))]
+        id_map = hota_sweep(gt, pred)[1]
+        assert id_map == {1: 5, 2: 5}
+        query = Query("q", "v", "", (Referent(1, (TemporalSegment(1, 2),)),
+                                     Referent(2, (TemporalSegment(3, 4),))))
+        pairs = build_temporal_pairs(id_map, query, None)
+        assert _duplicate_winners(pairs) == {5: [1, 2]}
+
+    def test_map_is_the_vote_over_the_mapping_match(self):
+        """On random GT tracks each predicted as two ids, one before and
+        one after a random frame, the map is the vote over the matching
+        ``match_at_alpha`` gives at MAPPING_ALPHA: most matched frames,
+        then the smaller predicted id, in ascending GT id."""
+        rng = random.Random(5)
+        contested = tied = False
+        for _ in range(60):
+            gt = random_tracks(rng, 3, 6, id_base=1)
+            pred = _cut_in_two(rng, gt)
+            votes = {}
+            for fm in match_at_alpha(gt, pred, MAPPING_ALPHA).frames:
+                for gid, pid, _ in fm.matches:
+                    tally = votes.setdefault(gid, {})
+                    tally[pid] = tally.get(pid, 0) + 1
+            expected = {}
+            for gid in sorted(votes):
+                tally = votes[gid]
+                expected[gid] = min(tally, key=lambda p: (-tally[p], p))
+                counts = sorted(tally.values(), reverse=True)
+                contested |= len(counts) > 1
+                tied |= len(counts) > 1 and counts[0] == counts[1]
+            id_map = hota_sweep(gt, pred)[1]
+            assert list(id_map.items()) == list(expected.items())
+        assert contested and tied
+
+
+class TestOnePass:
     def test_query_builds_one_scenario_and_solves_each_threshold_once(
             self, monkeypatch):
         calls = {"init": 0, "match": 0}
@@ -529,21 +605,20 @@ class TestBoundedLocA:
             sys.setprofile(None)
         assert built
 
-    def test_sweep_builds_one_fraction_per_mapping_pair(self, monkeypatch):
-        """When the LocA bounds decide, the sweep builds one Fraction, the
-        IoU, for each pair it matched at MAPPING_ALPHA and none else."""
+    def test_sweep_builds_no_fraction(self, monkeypatch):
+        """When the LocA bounds decide, the sweep, its identity map
+        included, builds no Fraction."""
         gt, pred = self._float_scenario()
         calls = self._count_fallbacks(monkeypatch)
         built = []
         sys.setprofile(self._fraction_hook(built))
         try:
-            _, match_05 = hota_sweep(gt, pred)
+            _, id_map = hota_sweep(gt, pred)
         finally:
             sys.setprofile(None)
         assert calls == []
-        pairs = sum(len(fm.matches) for fm in match_05.frames)
-        assert pairs
-        assert len(built) == pairs
+        assert id_map
+        assert built == []
 
     @staticmethod
     def _float_scenario():
@@ -578,9 +653,8 @@ class TestBoundedLocA:
             loc_a = hota_sweep(gt, pred)[0].loc_a
         for alpha in ALPHAS:
             matching = table.match(alpha)
-            ious = [iou for fm in spatial._match_result(table, alpha,
-                                                        matching).frames
-                    for _, _, iou in fm.matches]
+            ious = [Fraction(*table.iou[frame][pair][:2])
+                    for frame, pairs in matching for pair in pairs]
             if not ious:
                 continue
             (low, den), (high, high_den) = table.ratios(matching)["loc_a"]

@@ -13,7 +13,7 @@ from svageval.synth import (
     oracle_temporal,
     write_split,
 )
-from svageval.idmap import TemporalPair
+from svageval.temporal import TemporalPair
 from svageval.model import ScoredSegment, TemporalSegment
 
 from conftest import constant_track

@@ -2,17 +2,20 @@ import random
 
 import pytest
 
-from svageval.idmap import TemporalPair
-from svageval.model import ScoredSegment, TemporalSegment
+from svageval.model import (BoundingBox, PredictionSet, Query, Referent,
+                            ScoredSegment, TemporalSegment, ValidationError)
+from svageval.spatial import hota_sweep
 from svageval.temporal import (
     RECALL_KS,
     TAUS,
+    TemporalPair,
+    build_temporal_pairs,
     evaluate_temporal,
     nms,
     temporal_iou,
 )
 
-from conftest import random_pairs
+from conftest import constant_track, random_pairs
 
 
 def seg(start, end):
@@ -39,6 +42,69 @@ class TestTemporalIou:
 
     def test_single_frame(self):
         assert temporal_iou(seg(5, 5), seg(5, 5)) == 1.0
+
+
+class TestTemporalPair:
+    def test_candidates_ranked_on_construction(self):
+        pair = TemporalPair("q", 1, (seg(1, 5),), (
+            cand(9, 12, 0.4), cand(1, 4, 0.9), cand(1, 2, 0.9)))
+        assert [c.segment.start for c in pair.predictions] == [1, 1, 9]
+        assert [c.segment.end for c in pair.predictions] == [2, 4, 12]
+
+    def test_no_gt_segments_rejected(self):
+        """A pair without GT segments is refused as ``Referent`` refuses
+        it, not divided by zero later."""
+        with pytest.raises(ValidationError) as refused:
+            TemporalPair("q", 1, (), ())
+        with pytest.raises(ValidationError) as expected:
+            Referent(1, ())
+        assert str(refused.value) == str(expected.value)
+        assert refused.value.field == "gt_segments"
+
+
+class TestBuildTemporalPairs:
+    """Pairs built from the identity map ``hota_sweep`` votes."""
+
+    @staticmethod
+    def _fixtures(unit_box):
+        gt = [constant_track(1, unit_box, range(1, 6)),
+              constant_track(2, BoundingBox(50, 50, 5, 5), range(1, 6))]
+        pred_tracks = (constant_track(3, unit_box, range(1, 6)),)
+        temporal = {3: (cand(1, 4, 0.8),)}
+        preds = PredictionSet("q1", "v1", pred_tracks, temporal)
+        query = Query("q1", "v1", "text", (
+            Referent(1, (seg(1, 5),)),
+            Referent(2, (seg(2, 3),)),
+        ))
+        return hota_sweep(gt, list(pred_tracks))[1], preds, query
+
+    def test_mapped_and_unmapped(self, unit_box):
+        id_map, preds, query = self._fixtures(unit_box)
+        pairs = build_temporal_pairs(id_map, query, preds)
+        assert len(pairs) == 2
+        assert pairs[0].gt_track_id == 1
+        assert pairs[0].predictions[0].score == 0.8
+        # referent 2 never matched: empty candidate list, still present
+        assert pairs[1].gt_track_id == 2
+        assert pairs[1].predictions == ()
+
+    def test_missing_prediction_set(self, unit_box):
+        id_map, _, query = self._fixtures(unit_box)
+        pairs = build_temporal_pairs(id_map, query, None)
+        assert all(p.predictions == () for p in pairs)
+
+    def test_mapped_id_without_temporal_entry(self, unit_box):
+        id_map, preds, query = self._fixtures(unit_box)
+        bare = PredictionSet("q1", "v1", preds.tracks, {})
+        pairs = build_temporal_pairs(id_map, query, bare)
+        assert pairs[0].predictions == ()
+
+    def test_pair_names_its_mapped_track(self, unit_box):
+        """Each pair carries the vote winner of its referent, and ``None``
+        for an unmapped referent."""
+        id_map, preds, query = self._fixtures(unit_box)
+        pairs = build_temporal_pairs(id_map, query, preds)
+        assert [p.pred_track_id for p in pairs] == [3, None]
 
 
 class TestRecall:
