@@ -8,21 +8,25 @@ as the correctly rounded reported components.
 Once per query, `_Scenario` scales every box to integer corners and area:
 each coordinate is multiplied by one power of two, the smallest that makes
 every coordinate of the query an integer, so nothing is rounded. It
-records each track's frame set and fills every frame's table of positive
-IoUs, which holds ints only: for each pair its intersection and union,
-the fixed-point floor of their quotient at `_LOC_BITS` bits, and whether
-that floor is inexact.
+records each track's frame set and fills every frame's table of IoUs,
+which holds ints only: for each pair its intersection and union, the
+fixed-point floor of their quotient at `_LOC_BITS` bits, whether that
+floor is inexact, and its level.
 
-Per threshold the work is on ints only. `match` keeps the pairs with
-inter * den >= num * union, counts each track pair's alignment as (frames
-matched, frames where either track appears) and solves each frame's
-assignment into a plain list of (frame, sorted pairs); `ratios` reduces
-that matching to (numerator, denominator) pairs, and counts each track
-pair's matched frames. Each mean over thresholds is taken over one common
-denominator and converted by one int true division, which rounds
-correctly, so it is the float of the exact value. A `Fraction` IoU is
-built only for the matching `match_at_alpha` returns and in the exact
-LocA fallback.
+The thresholds ascend, so they nest: an IoU reaching one reaches every
+lower one. Each pair's level, the number of thresholds it reaches, is
+found once, by bisecting them with inter * den >= num * union; a table
+keeps the pairs of level 1 or more, and each track pair's frames reaching
+each threshold are tallied then. At threshold index i, `match` tests
+nothing again: it takes the pairs of level above i, each track pair's
+alignment being (its tally at i, frames where either track appears), and
+solves each frame's assignment into a plain list of (frame, sorted pairs);
+`ratios` reduces that to (numerator, denominator) pairs, and counts each
+track pair's matched frames. Each mean over thresholds is taken over one
+common denominator and converted by one int true division, which rounds
+correctly, so it is the float of the exact value. A single threshold is
+the same scenario over one threshold. A `Fraction` IoU is built only for
+the matching `match_at_alpha` returns and in the exact LocA fallback.
 
 The same counts at MAPPING_ALPHA are the identity vote: `hota_sweep` maps
 each GT id to the predicted id it matched in the most frames there, ties
@@ -58,6 +62,7 @@ in `Fraction` would give.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,27 +158,29 @@ class AlphaMatchResult:
 
 
 def _by_frame(tracks, shift):
-    """frame -> {track_id: `_int_box`}, and track_id -> its set of frames."""
+    """frame -> {track_id: `_int_box`}, and track_id -> its set of frames.
+    A track id given twice raises ValueError."""
     boxes: dict[int, dict[int, tuple[int, ...]]] = {}
     frames: dict[int, set[int]] = {}
     for track in tracks:
+        if (tid := track.track_id) in frames:
+            raise ValueError(f"track id {tid} is given twice")
+        frames[tid] = set(track.frames)
         for det in track.detections:
-            boxes.setdefault(det.frame, {})[track.track_id] = _int_box(
-                det.box, shift)
-            frames.setdefault(track.track_id, set()).add(det.frame)
+            boxes.setdefault(det.frame, {})[tid] = _int_box(det.box, shift)
     return boxes, frames
 
 
 class _Scenario:
-    """Frame-indexed view of one (video, query)'s GT and predicted tracks,
-    with the pairwise IoU table computed once and shared across thresholds.
+    """One (video, query)'s tracks, frame by frame, with each pair's IoU
+    tested once against the ascending `alphas`. `iou[frame][(gid, pid)]`
+    is (inter, union, floor, inexact, level) for each pair reaching
+    `alphas[0]`: intersection and union on the query's integer scale,
+    floor(inter * 2**bits / union), whether it is inexact, and the number
+    of thresholds reached; every frame of either side has a table, in
+    frame order. `counts[pair][i]` counts the frames reaching `alphas[i]`."""
 
-    `iou[frame][(gid, pid)]` is (inter, union, floor, inexact) for each
-    pair of positive IoU: intersection and union on the query's integer
-    scale, floor(inter * 2**bits / union) and whether that floor is
-    inexact. Every frame of either side has a table, in frame order."""
-
-    def __init__(self, gt_tracks, pred_tracks):
+    def __init__(self, gt_tracks, pred_tracks, alphas):
         shift = _shift(det.box for track in (*gt_tracks, *pred_tracks)
                        for det in track.detections)
         gt_boxes, self.gt_frames = _by_frame(gt_tracks, shift)
@@ -181,42 +188,36 @@ class _Scenario:
         self.gt_count = sum(map(len, self.gt_frames.values()))
         self.pred_count = sum(map(len, self.pred_frames.values()))
         self.bits = bits = _LOC_BITS
+        self.alphas = alphas
+        ratios = [alpha.as_integer_ratio() for alpha in alphas]
         self.iou: dict[int, dict[tuple[int, int], tuple]] = {}
+        counts = self.counts = {}
         for frame in sorted(set(gt_boxes) | set(pred_boxes)):
-            table = {}
+            table = self.iou[frame] = {}
             for gid, gbox in gt_boxes.get(frame, {}).items():
                 for pid, pbox in pred_boxes.get(frame, {}).items():
                     inter = _overlap(gbox, pbox)
-                    if inter:
-                        union = gbox[4] + pbox[4] - inter
-                        floor, rest = divmod(inter << bits, union)
-                        table[(gid, pid)] = (inter, union, floor, rest > 0)
-            self.iou[frame] = table
+                    union = gbox[4] + pbox[4] - inter
+                    if level := inter and bisect_left(ratios, True, key=(
+                            lambda r: inter * r[1] < r[0] * union)):
+                        floor, rem = divmod(inter << bits, union)
+                        table[gid, pid] = (inter, union, floor, rem > 0, level)
+                        hits = counts.setdefault((gid, pid), [0] * len(alphas))
+                        for i in range(level):
+                            hits[i] += 1
         # |frames where either track appears|, the alignment's denominator.
-        self.span = {(gid, pid): len(self.gt_frames[gid]
-                                     | self.pred_frames[pid])
-                     for gid, pid in {pair for table in self.iou.values()
-                                      for pair in table}}
+        self.span = {(g, p): len(self.gt_frames[g] | self.pred_frames[p])
+                     for g, p in counts}
 
-    def match(self, alpha: Fraction
-              ) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Each frame's optimal matching at alpha, as (frame, sorted pairs)
-        for every frame in frame order, guided by the alignment of each
-        (gt, pred) track pair reaching alpha in at least one frame:
-        |frames matched at alpha| / |frames where either appears| (a
-        Jaccard index over frames)."""
-        num, den = alpha.as_integer_ratio()
-        feasible = {frame: [pair for pair, entry in table.items()
-                            if entry[0] * den >= num * entry[1]]
-                    for frame, table in self.iou.items()}
-        counts: dict[tuple[int, int], int] = {}
-        for pairs in feasible.values():
-            for pair in pairs:
-                counts[pair] = counts.get(pair, 0) + 1
-        alignment = {pair: (count, self.span[pair])
-                     for pair, count in counts.items()}
-        return [(frame, _optimal_pairs(pairs, self.iou[frame], alignment))
-                for frame, pairs in feasible.items()]
+    def match(self, i: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Each frame's optimal matching at `alphas[i]`, as (frame, sorted
+        pairs) in frame order, guided by each track pair's alignment
+        counts[pair][i] / span[pair] (a Jaccard index over frames)."""
+        alignment = {pair: (hits[i], self.span[pair])
+                     for pair, hits in self.counts.items()}
+        return [(frame, _optimal_pairs([pair for pair, entry in table.items()
+                                        if entry[4] > i], table, alignment))
+                for frame, table in self.iou.items()]
 
     def ratios(self, matching) -> dict:
         """The HOTA fields of a `match` result: hota as a float, tp/fn/fp
@@ -536,12 +537,12 @@ def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:
     track alignment at that threshold, with the IoU of each matched pair as
     a Fraction."""
     alpha = _as_alpha(alpha)
-    scenario = _Scenario(gt_tracks, pred_tracks)
+    scenario = _Scenario(gt_tracks, pred_tracks, (alpha,))
     iou = scenario.iou
     return AlphaMatchResult(alpha=alpha, frames=tuple(
         FrameMatch(frame, tuple((g, p, Fraction(*iou[frame][g, p][:2]))
                                 for g, p in pairs))
-        for frame, pairs in scenario.match(alpha)))
+        for frame, pairs in scenario.match(0)))
 
 
 def _as_alpha(alpha) -> Fraction:
@@ -565,12 +566,11 @@ def _exact_loc_a(scenario: _Scenario, matchings) -> float:
     return float(total / len(matchings))
 
 
-def _hota_components(scenario: _Scenario, alphas
-                     ) -> tuple[HotaComponents, list[dict]]:
-    """The HOTA fields averaged over the thresholds, and each threshold's
-    `ratios`. With more than one threshold the result is alpha-averaged
-    and its counts are means."""
-    matchings = [scenario.match(alpha) for alpha in alphas]
+def _hota_components(scenario) -> tuple[HotaComponents, list[dict]]:
+    """The HOTA fields averaged over the scenario's thresholds, and each
+    one's `ratios`. With more than one threshold the result is
+    alpha-averaged and its counts are means."""
+    matchings = [scenario.match(i) for i in range(len(scenario.alphas))]
     per_alpha = [scenario.ratios(matching) for matching in matchings]
     n = len(per_alpha)
     fields = {"hota": sum(values["hota"] for values in per_alpha) / n}
@@ -588,8 +588,8 @@ def _hota_components(scenario: _Scenario, alphas
 
 def hota_at_alpha(gt_tracks, pred_tracks, alpha) -> HotaComponents:
     """HOTA decomposition at a single localization threshold."""
-    scenario = _Scenario(gt_tracks, pred_tracks)
-    return _hota_components(scenario, [_as_alpha(alpha)])[0]
+    scenario = _Scenario(gt_tracks, pred_tracks, (_as_alpha(alpha),))
+    return _hota_components(scenario)[0]
 
 
 def hota_sweep(gt_tracks, pred_tracks
@@ -598,8 +598,8 @@ def hota_sweep(gt_tracks, pred_tracks
     map {gt id: predicted id} in ascending GT id: the vote over the
     matched frames at MAPPING_ALPHA. The aggregate HOTA is the mean of the
     per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
-    scenario = _Scenario(gt_tracks, pred_tracks)
-    components, per_alpha = _hota_components(scenario, ALPHAS)
+    scenario = _Scenario(gt_tracks, pred_tracks, ALPHAS)
+    components, per_alpha = _hota_components(scenario)
     tpa = per_alpha[ALPHAS.index(MAPPING_ALPHA)]["tpa"]
     # Ascending GT id, then most matched frames, then ascending predicted
     # id: the first pair of each GT id is its vote's winner.

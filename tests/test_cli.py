@@ -106,6 +106,31 @@ class TestEvaluate:
         assert code == EXIT_IO
         assert "$.query_id" in capsys.readouterr().err
 
+    def test_segment_ends_past_len_limit_are_scored(self, tmp_path):
+        """A GT segment ending at 2**63 and a predicted one at 2**70 are
+        scored: exit 0, a report, and no traceback."""
+        data = _synth(tmp_path, queries=6)
+        queries = data / "gt" / "ovis" / "video0001" / "queries.json"
+        doc = json.loads(queries.read_text())
+        doc["queries"][0]["referents"][0]["segments"] = [[1, 2**63]]
+        queries.write_text(json.dumps(doc))
+        temporal = (data / "pred" / "ovis" / "video0001" / "q001"
+                    / "pred_temporal.json")
+        doc = json.loads(temporal.read_text())
+        doc["tracks"][0]["segments"][0]["end"] = 2**70
+        temporal.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(svageval.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "svageval.cli", "evaluate", "--gt",
+             str(data / "gt"), "--pred", str(data / "pred"), "--datasets",
+             "ovis", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(out.read_text())["datasets"]["ovis"]
+
     def test_loader_diagnostics_printed(self, tmp_path, capsys):
         data = _synth(tmp_path)
         (data / "pred" / "ovis" / "video0001" / "q009").mkdir()

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from svageval import spatial, synth
-from svageval.model import (BoundingBox, Detection, Query, Referent,
-                            TemporalSegment, Track, ValidationError)
+from svageval.model import (BoundingBox, Detection, PredictionSet, Query,
+                            Referent, TemporalSegment, Track,
+                            ValidationError)
 from svageval.pipeline import _duplicate_winners, evaluate_query
 from svageval.spatial import (
     ALPHAS,
@@ -351,25 +352,125 @@ class TestIdentityVote:
 
 
 class TestOnePass:
-    def test_query_builds_one_scenario_and_solves_each_threshold_once(
-            self, monkeypatch):
-        calls = {"init": 0, "match": 0}
+    @staticmethod
+    def _count(monkeypatch):
+        """Record the thresholds of every scenario built and the index of
+        every `match` call."""
+        calls = {"init": [], "match": []}
         init, match = spatial._Scenario.__init__, spatial._Scenario.match
 
-        def counting_init(self, *args):
-            calls["init"] += 1
-            init(self, *args)
+        def counting_init(self, gt, pred, alphas):
+            calls["init"].append(tuple(alphas))
+            init(self, gt, pred, alphas)
 
-        def counting_match(self, alpha):
-            calls["match"] += 1
-            return match(self, alpha)
+        def counting_match(self, i):
+            calls["match"].append(i)
+            return match(self, i)
 
         monkeypatch.setattr(spatial._Scenario, "__init__", counting_init)
         monkeypatch.setattr(spatial._Scenario, "match", counting_match)
+        return calls
+
+    def test_query_builds_one_scenario_and_solves_each_threshold_once(
+            self, monkeypatch):
+        calls = self._count(monkeypatch)
         bundle, predictions = generate(ScenarioSpec(seed=4, queries=1))
         video = bundle.videos[predictions[0].video_id]
         evaluate_query(video, video.queries[0], predictions[0])
-        assert calls == {"init": 1, "match": len(ALPHAS)}
+        assert calls == {"init": [ALPHAS], "match": list(range(len(ALPHAS)))}
+
+    @pytest.mark.parametrize("scorer", (hota_at_alpha, match_at_alpha))
+    def test_one_threshold_is_one_scenario_over_it(self, monkeypatch,
+                                                   scorer):
+        calls = self._count(monkeypatch)
+        rng = random.Random(2)
+        scorer(random_tracks(rng, 3, 5, 1), random_tracks(rng, 3, 5, 1), 0.3)
+        assert calls == {"init": [(Fraction(3, 10),)], "match": [0]}
+
+
+class TestLevels:
+    """Each pair's IoU is tested against the thresholds once, as a level;
+    a single threshold is the sweep's scenario limited to it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_scenarios())
+    def test_levels_and_counts_are_the_exact_ious(self, scenario):
+        """Each table entry's level is the number of thresholds its exact
+        IoU reaches, no table holds a pair below ALPHAS[0], and each track
+        pair's count at i is its frames whose IoU reaches ALPHAS[i]."""
+        gt, pred = scenario
+        table = spatial._Scenario(gt, pred, ALPHAS)
+        for g in gt:
+            for p in pred:
+                boxes = {det.frame: det.box for det in p.detections}
+                levels = {}
+                for det in g.detections:
+                    if det.frame in boxes:
+                        iou = synth._oracle_iou(det.box, boxes[det.frame])
+                        levels[det.frame] = sum(iou >= a for a in ALPHAS)
+                pair = g.track_id, p.track_id
+                for frame, level in levels.items():
+                    entry = table.iou[frame].get(pair)
+                    assert (entry[4] if entry else 0) == level
+                assert table.counts.get(pair, [0] * len(ALPHAS)) == [
+                    sum(level > i for level in levels.values())
+                    for i in range(len(ALPHAS))]
+        assert all(entry[4] >= 1 for entries in table.iou.values()
+                   for entry in entries.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_scenarios())
+    def test_single_threshold_is_the_sweep_limited_to_it(self, scenario):
+        gt, pred = scenario
+        table = spatial._Scenario(gt, pred, ALPHAS)
+        for i, alpha in enumerate(ALPHAS):
+            matching = table.match(i)
+            single = match_at_alpha(gt, pred, alpha)
+            assert [(fm.frame, [(g, p) for g, p, _ in fm.matches])
+                    for fm in single.frames] == matching
+            values = table.ratios(matching)
+            components = hota_at_alpha(gt, pred, alpha)
+            assert ((components.tp, components.fn, components.fp)
+                    == (values["tp"], values["fn"], values["fp"]))
+
+
+class TestRepeatedTrackId:
+    """Two tracks with one id on either side are refused, naming the id;
+    scored, they gave a result that depended on their order."""
+
+    _SCORERS = (hota_sweep,
+                lambda gt, pred: hota_at_alpha(gt, pred, MAPPING_ALPHA),
+                lambda gt, pred: match_at_alpha(gt, pred, MAPPING_ALPHA))
+
+    @staticmethod
+    def _tracks():
+        box = BoundingBox(0, 0, 10, 10)
+        return constant_track(1, box, (1, 2)), constant_track(1, box, (2, 3))
+
+    @pytest.mark.parametrize("scorer", _SCORERS)
+    def test_gt_side(self, scorer):
+        t1, t1b = self._tracks()
+        with pytest.raises(ValueError, match="track id 1 is given twice"):
+            scorer([t1, t1b], [t1])
+
+    @pytest.mark.parametrize("scorer", _SCORERS)
+    def test_predicted_side(self, scorer):
+        t1, t1b = self._tracks()
+        for pred in ([t1, t1b], [t1b, t1]):
+            with pytest.raises(ValueError, match="track id 1 is given twice"):
+                scorer([t1], pred)
+
+    def test_query_with_a_repeated_predicted_track(self):
+        bundle, predictions = generate(ScenarioSpec(seed=4, queries=1))
+        predset = predictions[0]
+        video = bundle.videos[predset.video_id]
+        repeated = PredictionSet(predset.query_id, predset.video_id,
+                                 predset.tracks + predset.tracks[:1],
+                                 predset.temporal)
+        tid = predset.tracks[0].track_id
+        with pytest.raises(ValueError,
+                           match=f"track id {tid} is given twice"):
+            evaluate_query(video, video.queries[0], repeated)
 
 
 _ALIGNMENTS = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1))
@@ -590,8 +691,8 @@ class TestBoundedLocA:
         hook = self._fraction_hook(built)
         sys.setprofile(hook)
         try:
-            table = spatial._Scenario(gt, pred)
-            matchings = [table.match(alpha) for alpha in ALPHAS]
+            table = spatial._Scenario(gt, pred, ALPHAS)
+            matchings = [table.match(i) for i in range(len(ALPHAS))]
             per_alpha = [table.ratios(matching) for matching in matchings]
         finally:
             sys.setprofile(None)
@@ -649,10 +750,10 @@ class TestBoundedLocA:
         gt, pred = scenario
         assume(gt or pred)
         with mock.patch.object(spatial, "_LOC_BITS", bits):
-            table = spatial._Scenario(gt, pred)
+            table = spatial._Scenario(gt, pred, ALPHAS)
             loc_a = hota_sweep(gt, pred)[0].loc_a
-        for alpha in ALPHAS:
-            matching = table.match(alpha)
+        for i in range(len(ALPHAS)):
+            matching = table.match(i)
             ious = [Fraction(*table.iou[frame][pair][:2])
                     for frame, pairs in matching for pair in pairs]
             if not ious:

@@ -43,6 +43,10 @@ class TestTemporalIou:
     def test_single_frame(self):
         assert temporal_iou(seg(5, 5), seg(5, 5)) == 1.0
 
+    def test_segments_longer_than_len_allows(self):
+        """len() refuses 2**63 or more; the IoU is still exact."""
+        assert temporal_iou(seg(1, 2**64), seg(1, 2**63)) == 0.5
+
 
 class TestTemporalPair:
     def test_candidates_ranked_on_construction(self):
