@@ -109,9 +109,6 @@ class TemporalSegment:
                  "end", "must be an integer >= 1")
         _require(self.start <= self.end, "start", "segment start exceeds end")
 
-    def __len__(self) -> int:
-        return self.end - self.start + 1
-
     def covers(self, frame: int) -> bool:
         return self.start <= frame <= self.end
 

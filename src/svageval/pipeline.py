@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 from .ingest import DatasetSplit, VideoGroundTruth, validate_split
@@ -112,6 +111,9 @@ def evaluate_datasets(splits, nms_threshold: float | None,
                         video.video_id, query.query_id)
     workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which one worker, the
+        # set-up probe and library users never need.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 evaluate_query, *zip(*units),

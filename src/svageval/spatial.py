@@ -17,16 +17,25 @@ The thresholds ascend, so they nest: an IoU reaching one reaches every
 lower one. Each pair's level, the number of thresholds it reaches, is
 found once, by bisecting them with inter * den >= num * union; a table
 keeps the pairs of level 1 or more, and each track pair's frames reaching
-each threshold are tallied then. At threshold index i, `match` tests
-nothing again: it takes the pairs of level above i, each track pair's
-alignment being (its tally at i, frames where either track appears), and
-solves each frame's assignment into a plain list of (frame, sorted pairs);
-`ratios` reduces that to (numerator, denominator) pairs, and counts each
-track pair's matched frames. Each mean over thresholds is taken over one
-common denominator and converted by one int true division, which rounds
-correctly, so it is the float of the exact value. A single threshold is
-the same scenario over one threshold. A `Fraction` IoU is built only for
-the matching `match_at_alpha` returns and in the exact LocA fallback.
+each threshold are tallied then. At threshold index i the feasible pairs
+are those of level above i, and each track pair's alignment is (its tally
+at i, frames where either track appears).
+
+`sweep` tests nothing again and matches every threshold in one pass per
+frame, from the highest down. A frame with fewer than two pairs needs no
+solve: a pair of level L is matched at every i < L. In any other frame,
+the pairs of level i + 1 join the frame's connected components as i falls,
+each pair once. A component keeps its last solution while its pairs and
+their tallies at i are unchanged, since its problem is then the same; a
+component of one pair is never solved. Each threshold's matching is a
+plain list of (frame, sorted pairs). `ratios` reduces it to (numerator,
+denominator) pairs and counts each track pair's matched frames; a
+threshold whose matching equals the one below it shares that reduction.
+Each mean over thresholds is taken over one common denominator and
+converted by one int true division, which rounds correctly, so it is the
+float of the exact value. A single threshold is the same scenario over
+one threshold. A `Fraction` IoU is built only for the matching
+`match_at_alpha` returns and in the exact LocA fallback.
 
 The same counts at MAPPING_ALPHA are the identity vote: `hota_sweep` maps
 each GT id to the predicted id it matched in the most frames there, ties
@@ -209,21 +218,89 @@ class _Scenario:
         self.span = {(g, p): len(self.gt_frames[g] | self.pred_frames[p])
                      for g, p in counts}
 
-    def match(self, i: int) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Each frame's optimal matching at `alphas[i]`, as (frame, sorted
-        pairs) in frame order, guided by each track pair's alignment
-        counts[pair][i] / span[pair] (a Jaccard index over frames)."""
-        alignment = {pair: (hits[i], self.span[pair])
-                     for pair, hits in self.counts.items()}
-        return [(frame, _optimal_pairs([pair for pair, entry in table.items()
-                                        if entry[4] > i], table, alignment))
-                for frame, table in self.iou.items()]
+    def sweep(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+        """Each frame's optimal matching at every threshold: for each
+        `alphas[i]`, a list of (frame, sorted pairs) in frame order, guided
+        by each track pair's alignment counts[pair][i] / span[pair] (a
+        Jaccard index over frames). A frame whose matching is the same at
+        two thresholds gives both the same list."""
+        per_frame = [self._frame_sweep(table) for table in self.iou.values()]
+        return [[(frame, optima[i]) for frame, optima in zip(self.iou,
+                                                              per_frame)]
+                for i in range(len(self.alphas))]
+
+    def _frame_sweep(self, table) -> list[list[tuple[int, int]]]:
+        """One frame's optimal pairs at each threshold, found in one pass
+        from the highest down. The pairs of level i + 1 join the feasible
+        graph as i falls, each once, into explicit components (node ->
+        component, the smaller merged into the larger); a component is
+        solved again only when its pairs or their counts at i changed."""
+        n = len(self.alphas)
+        if len(table) < 2:
+            # A lone pair of level L is matched at every i < L.
+            optima = [[]] * n
+            for pair, entry in table.items():
+                optima[:entry[4]] = [[pair]] * entry[4]
+            return optima
+        counts, span = self.counts, self.span
+        # The count-independent parts of each pair's objective: at count c
+        # it is (c * A + B) / C.
+        parts = {(g, p): (_EPS_DEN * entry[1],
+                          _EPS_NUM * span[g, p] * entry[0],
+                          _EPS_DEN * span[g, p] * entry[1])
+                 for (g, p), entry in table.items()}
+        order = sorted(table, key=lambda pair: table[pair][4])
+        owner: dict[int, _Component] = {}
+        live: dict[_Component, None] = {}
+        optima = [[]] * n
+        current: list[tuple[int, int]] = []
+        for i in range(n - 1, -1, -1):
+            changed = False
+            while order and table[order[-1]][4] > i:
+                g, p = pair = order.pop()
+                changed = True
+                group, other = owner.get(g), owner.get(~p)
+                if group is None or other is None:
+                    group = group or other or _Component()
+                    live[group] = None
+                elif group is not other:
+                    if len(group.pairs) < len(other.pairs):
+                        group, other = other, group
+                    group.pairs += other.pairs
+                    for g2, p2 in other.pairs:
+                        owner[g2] = owner[~p2] = group
+                    del live[other]
+                group.pairs.append(pair)
+                group.optimum = None
+                owner[g] = owner[~p] = group
+            for group in live:
+                pairs = group.pairs
+                if len(pairs) == 1:
+                    group.optimum = pairs
+                    continue
+                if group.optimum is None:
+                    pairs.sort()
+                tallies = [counts[pair][i] for pair in pairs]
+                if group.optimum is None or tallies != group.tallies:
+                    group.tallies = tallies
+                    objective = {}
+                    for pair, count in zip(pairs, tallies):
+                        a, b, den = parts[pair]
+                        objective[pair] = (a * count + b, den)
+                    group.optimum = _component_optimum(pairs, objective)
+                    changed = True
+            if changed:
+                current = sorted(pair for group in live
+                                 for pair in group.optimum)
+            optima[i] = current
+        return optima
 
     def ratios(self, matching) -> dict:
-        """The HOTA fields of a `match` result: hota as a float, tp/fn/fp
-        as ints, loc_a as its (lower, upper) bounds and the other ratios,
-        each bound included, as (numerator, denominator) int pairs; and
-        tpa, each matched (gt, pred) pair's count of matched frames."""
+        """The HOTA fields of one threshold's `sweep` matching: hota as a
+        float, tp/fn/fp as ints, loc_a as its (lower, upper) bounds and the
+        other ratios, each bound included, as (numerator, denominator) int
+        pairs; and tpa, each matched (gt, pred) pair's count of matched
+        frames."""
         tpa: dict[tuple[int, int], int] = {}
         floors = inexact = 0
         for frame, pairs in matching:
@@ -278,16 +355,16 @@ def _optimal_pairs(feasible, iou_table, alignment):
     `iou_table` maps each pair to its IoU's (inter, union, ...) and
     `alignment` to (count, span), the alignment being count / span; the
     objective is then an int numerator over IOU_EPSILON's denominator
-    times span * union.
+    times span * union. `_Scenario.sweep` finds, in one pass, the pairs
+    this gives each frame at every threshold.
 
     Solved one connected component of the feasible bipartite graph at a
     time, which is exact: cardinality and objective add up over
     components, and for two equal-size sorted pair lists the
     lexicographically smaller one is the one holding the smallest pair of
     their symmetric difference, a pair that lies in a single component.
-    A component with one id on either side is solved by its best pair;
-    any other by `_component_pairs`, over its own ids. Every feasible pair
-    reaches the threshold in this frame, so it has an alignment."""
+    Every feasible pair reaches the threshold in this frame, so it has an
+    alignment."""
     if len(feasible) < 2:
         return feasible
     pairs = []
@@ -299,14 +376,34 @@ def _optimal_pairs(feasible, iou_table, alignment):
             objective[pair] = (_EPS_DEN * count * union
                                + _EPS_NUM * span * inter,
                                _EPS_DEN * span * union)
-        gids = {g for g, _ in component}
-        pids = {p for _, p in component}
-        if len(gids) == 1 or len(pids) == 1:
-            pairs.append(_best_pair(component, objective))
-        else:
-            pairs.extend(_component_pairs(component, gids, pids, objective))
+        pairs.extend(_component_optimum(component, objective))
     pairs.sort()
     return pairs
+
+
+def _component_optimum(component, objective):
+    """The optimal pairs of one connected component, given as a sorted
+    pair list, with each pair's objective as (numerator, denominator). A
+    component with one id on either side is solved by its best pair; any
+    other by `_component_pairs`, over its own ids."""
+    gids = {g for g, _ in component}
+    pids = {p for _, p in component}
+    if len(gids) == 1 or len(pids) == 1:
+        return [_best_pair(component, objective)]
+    return _component_pairs(component, gids, pids, objective)
+
+
+class _Component:
+    """A connected component of one frame's feasible graph as
+    `_Scenario._frame_sweep` grows it: its pairs, their counts at its last
+    solve, and its optimal pairs then (None once its pairs change)."""
+
+    __slots__ = ("pairs", "tallies", "optimum")
+
+    def __init__(self):
+        self.pairs: list[tuple[int, int]] = []
+        self.tallies: list[int] | None = None
+        self.optimum: list[tuple[int, int]] | None = None
 
 
 def _best_pair(component, objective):
@@ -542,7 +639,7 @@ def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:
     return AlphaMatchResult(alpha=alpha, frames=tuple(
         FrameMatch(frame, tuple((g, p, Fraction(*iou[frame][g, p][:2]))
                                 for g, p in pairs))
-        for frame, pairs in scenario.match(0)))
+        for frame, pairs in scenario.sweep()[0]))
 
 
 def _as_alpha(alpha) -> Fraction:
@@ -570,8 +667,12 @@ def _hota_components(scenario) -> tuple[HotaComponents, list[dict]]:
     """The HOTA fields averaged over the scenario's thresholds, and each
     one's `ratios`. With more than one threshold the result is
     alpha-averaged and its counts are means."""
-    matchings = [scenario.match(i) for i in range(len(scenario.alphas))]
-    per_alpha = [scenario.ratios(matching) for matching in matchings]
+    matchings = scenario.sweep()
+    per_alpha = []
+    for i, matching in enumerate(matchings):
+        # No caller mutates a `ratios` dict, so equal matchings share one.
+        per_alpha.append(per_alpha[-1] if i and matching == matchings[i - 1]
+                         else scenario.ratios(matching))
     n = len(per_alpha)
     fields = {"hota": sum(values["hota"] for values in per_alpha) / n}
     for name in _EXACT_FIELDS:

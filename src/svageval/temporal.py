@@ -68,7 +68,6 @@ def temporal_iou(a: TemporalSegment, b: TemporalSegment) -> float:
     inter = min(a.end, b.end) - max(a.start, b.start) + 1
     if inter <= 0:
         return 0.0
-    # Lengths by arithmetic: len() fails on one of 2**63 frames or more.
     union = (a.end - a.start + 1) + (b.end - b.start + 1) - inter
     return inter / union
 

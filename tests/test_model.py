@@ -65,10 +65,6 @@ class TestTrack:
 
 
 class TestTemporalSegment:
-    def test_inclusive_length(self):
-        assert len(TemporalSegment(5, 5)) == 1
-        assert len(TemporalSegment(2543, 2782)) == 240
-
     def test_start_exceeds_end(self):
         with pytest.raises(ValidationError):
             TemporalSegment(10, 5)

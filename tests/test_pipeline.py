@@ -1,7 +1,13 @@
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import svageval
 from svageval import pipeline
 from svageval.ingest import DatasetSplit
 from svageval.model import Referent, TemporalSegment
@@ -127,7 +133,8 @@ def _inline_pools(monkeypatch, cpus):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    # `evaluate_datasets` imports the pool class from here when it uses it.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
     return pools
 
@@ -171,3 +178,17 @@ def test_duplicate_winners_ignore_unmapped_referents():
     pairs = [TemporalPair("q", gid, segments, (), pid)
              for gid, pid in ((4, 5), (1, None), (3, None), (2, 5), (6, 7))]
     assert pipeline._duplicate_winners(pairs) == {5: [2, 4]}
+
+
+def test_import_loads_no_process_pool():
+    """``import svageval`` loads neither multiprocessing nor
+    concurrent.futures; only a pool of two or more workers imports them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(svageval.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, svageval; print(sorted(name for name in sys.modules "
+         "if name.partition('.')[0] in ('multiprocessing', "
+         "'concurrent')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -354,30 +354,29 @@ class TestIdentityVote:
 class TestOnePass:
     @staticmethod
     def _count(monkeypatch):
-        """Record the thresholds of every scenario built and the index of
-        every `match` call."""
-        calls = {"init": [], "match": []}
-        init, match = spatial._Scenario.__init__, spatial._Scenario.match
+        """Record the thresholds of every scenario built and the number of
+        `sweep` calls."""
+        calls = {"init": [], "sweep": 0}
+        init, sweep = spatial._Scenario.__init__, spatial._Scenario.sweep
 
         def counting_init(self, gt, pred, alphas):
             calls["init"].append(tuple(alphas))
             init(self, gt, pred, alphas)
 
-        def counting_match(self, i):
-            calls["match"].append(i)
-            return match(self, i)
+        def counting_sweep(self):
+            calls["sweep"] += 1
+            return sweep(self)
 
         monkeypatch.setattr(spatial._Scenario, "__init__", counting_init)
-        monkeypatch.setattr(spatial._Scenario, "match", counting_match)
+        monkeypatch.setattr(spatial._Scenario, "sweep", counting_sweep)
         return calls
 
-    def test_query_builds_one_scenario_and_solves_each_threshold_once(
-            self, monkeypatch):
+    def test_query_builds_one_scenario_and_sweeps_it_once(self, monkeypatch):
         calls = self._count(monkeypatch)
         bundle, predictions = generate(ScenarioSpec(seed=4, queries=1))
         video = bundle.videos[predictions[0].video_id]
         evaluate_query(video, video.queries[0], predictions[0])
-        assert calls == {"init": [ALPHAS], "match": list(range(len(ALPHAS)))}
+        assert calls == {"init": [ALPHAS], "sweep": 1}
 
     @pytest.mark.parametrize("scorer", (hota_at_alpha, match_at_alpha))
     def test_one_threshold_is_one_scenario_over_it(self, monkeypatch,
@@ -385,7 +384,29 @@ class TestOnePass:
         calls = self._count(monkeypatch)
         rng = random.Random(2)
         scorer(random_tracks(rng, 3, 5, 1), random_tracks(rng, 3, 5, 1), 0.3)
-        assert calls == {"init": [(Fraction(3, 10),)], "match": [0]}
+        assert calls == {"init": [(Fraction(3, 10),)], "sweep": 1}
+
+    def test_equal_matchings_are_reduced_once(self, monkeypatch):
+        """`ratios` runs once per threshold whose matching differs from the
+        one below it, and the sweep's result is unchanged."""
+        gt, pred = _id_switch_scenario()
+        gt.append(constant_track(3, BoundingBox(100, 0, 10, 10), range(1, 5)))
+        pred.append(constant_track(3, BoundingBox(102, 0, 10, 10),
+                                   range(1, 5)))
+        matchings = spatial._Scenario(gt, pred, ALPHAS).sweep()
+        distinct = 1 + sum(a != b for a, b in zip(matchings, matchings[1:]))
+        assert 1 < distinct < len(ALPHAS)
+        expected = hota_sweep(gt, pred)
+        reduced = []
+        ratios = spatial._Scenario.ratios
+
+        def counting(self, matching):
+            reduced.append(matching)
+            return ratios(self, matching)
+
+        monkeypatch.setattr(spatial._Scenario, "ratios", counting)
+        assert hota_sweep(gt, pred) == expected
+        assert len(reduced) == distinct
 
 
 class TestLevels:
@@ -423,8 +444,7 @@ class TestLevels:
     def test_single_threshold_is_the_sweep_limited_to_it(self, scenario):
         gt, pred = scenario
         table = spatial._Scenario(gt, pred, ALPHAS)
-        for i, alpha in enumerate(ALPHAS):
-            matching = table.match(i)
+        for alpha, matching in zip(ALPHAS, table.sweep()):
             single = match_at_alpha(gt, pred, alpha)
             assert [(fm.frame, [(g, p) for g, p, _ in fm.matches])
                     for fm in single.frames] == matching
@@ -432,6 +452,162 @@ class TestLevels:
             components = hota_at_alpha(gt, pred, alpha)
             assert ((components.tp, components.fn, components.fp)
                     == (values["tp"], values["fn"], values["fp"]))
+
+
+def _solve_each_threshold(table):
+    """The sweep's reference: at each threshold index i, `_optimal_pairs`
+    over each frame's pairs of level above i, with alignment (counts[pair][i],
+    span[pair])."""
+    return [[(frame, spatial._optimal_pairs(
+                [pair for pair, entry in iou.items() if entry[4] > i], iou,
+                {pair: (hits[i], table.span[pair])
+                 for pair, hits in table.counts.items()}))
+             for frame, iou in table.iou.items()]
+            for i in range(len(table.alphas))]
+
+
+@st.composite
+def _lane_clips(draw):
+    """(gt, pred) tracks in lanes 40 units apart, so that most frames are
+    conflict-free: each GT box overlaps its own lane's predicted box alone,
+    at an IoU the offsets vary. Now and then a predicted box strays into the
+    next lane, where two predicted boxes then meet one GT box."""
+    frames = draw(st.integers(1, 8))
+    lanes = draw(st.integers(1, 4))
+    offsets = st.integers(0, 6)
+    gt, pred = [], []
+    for lane in range(lanes):
+        gt.append(constant_track(lane + 1, BoundingBox(40 * lane, 0, 10, 10),
+                                 range(1, frames + 1)))
+        boxes = []
+        for frame in range(1, frames + 1):
+            if draw(st.integers(0, 4)) == 0:
+                continue
+            stray = (lane + 1) % lanes if draw(st.integers(0, 9)) == 0 else lane
+            boxes.append((frame, BoundingBox(40 * stray + draw(offsets),
+                                             draw(offsets), 10, 10)))
+        if boxes:
+            pred.append(make_track(lane + 10, boxes))
+    return gt, pred
+
+
+@st.composite
+def _splitting_crowds(draw):
+    """(gt, pred) tracks in a tight row, each GT box 4 units from the next
+    and each predicted box within 1 of its own GT box in either direction.
+    Every frame has the first two predicted boxes, and neighbours overlap
+    at an IoU of at least 0.29, so at alpha = 0.05 each frame is one
+    component. Each predicted box's IoU is at least 0.68 with its own GT
+    box and at most 0.54 with any other, so at alpha = 0.6 that component
+    has split. The offsets vary by frame, so the alignment counts do too."""
+    frames = draw(st.integers(1, 6))
+    count = draw(st.integers(2, 4))
+    offsets = st.integers(-1, 1)
+    gt = [constant_track(k, BoundingBox(4 * k, 0, 10, 10),
+                         range(1, frames + 1)) for k in range(1, count + 1)]
+    pred = []
+    for k in range(1, count + 1):
+        boxes = [(frame, BoundingBox(4 * k + draw(offsets), draw(offsets), 10,
+                                     10))
+                 for frame in range(1, frames + 1)
+                 if k < 3 or draw(st.integers(0, 5))]
+        if boxes:
+            pred.append(make_track(draw(st.sampled_from((0, 10))) + k, boxes))
+    return gt, pred
+
+
+class TestSweep:
+    """One pass from the highest threshold down gives, at every threshold,
+    the matching of an independent solve there."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_scenarios())
+    def test_float_scenarios(self, scenario):
+        table = spatial._Scenario(*scenario, ALPHAS)
+        assert table.sweep() == _solve_each_threshold(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lane_clips())
+    def test_mostly_conflict_free_clips(self, scenario):
+        table = spatial._Scenario(*scenario, ALPHAS)
+        assert table.sweep() == _solve_each_threshold(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_splitting_crowds())
+    def test_components_that_split(self, scenario):
+        table = spatial._Scenario(*scenario, ALPHAS)
+        assert table.sweep() == _solve_each_threshold(table)
+        split = ALPHAS.index(Fraction(3, 5))
+        for iou in table.iou.values():
+            assert len(spatial._components(list(iou))) == 1
+            assert len(spatial._components(
+                [pair for pair, entry in iou.items() if entry[4] > split])) > 1
+
+    def test_counts_alone_change_a_component_optimum(self, unit_box):
+        """In frame 1 both predicted boxes equal the GT box, so its
+        component is the same at every threshold. Predicted track 2 also
+        overlaps it at IoU 0.3 in frames 2 and 3, and track 1 at 0.9 in
+        frame 2: track 1 has the better alignment above 0.3, and track 2
+        at 0.3 and below, so frame 1's matching changes with the counts
+        alone."""
+        gt = [constant_track(1, unit_box, range(1, 4))]
+        pred = [make_track(1, [(1, unit_box), (2, BoundingBox(0, 0, 10, 9))]),
+                make_track(2, [(1, unit_box), (2, BoundingBox(0, 0, 10, 3)),
+                               (3, BoundingBox(0, 0, 10, 3))])]
+        table = spatial._Scenario(gt, pred, ALPHAS)
+        matchings = table.sweep()
+        assert matchings == _solve_each_threshold(table)
+        first = [dict(matching)[1] for matching in matchings]
+        low = ALPHAS.index(Fraction(3, 10))
+        assert first == [[(1, 2)]] * (low + 1) + [[(1, 1)]] * (18 - low)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_splitting_crowds())
+    def test_each_component_state_is_solved_once(self, scenario):
+        """Every component of two or more pairs is solved once per distinct
+        (frame, sorted pairs, their counts) state, and no other is; the
+        union-find of `_components` runs only inside such a solve, for its
+        doubtful pairs."""
+        table = spatial._Scenario(*scenario, ALPHAS)
+        states = set()
+        for frame, iou in table.iou.items():
+            for i in range(len(ALPHAS)):
+                for component in spatial._components(
+                        [pair for pair, entry in iou.items() if entry[4] > i]):
+                    if len(component) > 1:
+                        states.add((frame, tuple(component), tuple(
+                            table.counts[pair][i] for pair in component)))
+        solved = []
+        solve = spatial._component_optimum
+
+        def counting(component, objective):
+            solved.append(tuple(component))
+            return solve(component, objective)
+
+        # Whether each `_components` call ran inside `_component_pairs`.
+        inside, unions = [], []
+        components, component_pairs = (spatial._components,
+                                       spatial._component_pairs)
+
+        def solving(*args):
+            inside.append(True)
+            try:
+                return component_pairs(*args)
+            finally:
+                inside.pop()
+
+        def recording(pairs):
+            unions.append(bool(inside))
+            return components(pairs)
+
+        with mock.patch.object(spatial, "_component_optimum", counting), \
+                mock.patch.object(spatial, "_component_pairs", solving), \
+                mock.patch.object(spatial, "_components", recording):
+            table.sweep()
+        assert len(solved) == len(states)
+        assert all(unions)
+        assert sorted(solved) == sorted(component for _, component, _
+                                        in states)
 
 
 class TestRepeatedTrackId:
@@ -692,7 +868,7 @@ class TestBoundedLocA:
         sys.setprofile(hook)
         try:
             table = spatial._Scenario(gt, pred, ALPHAS)
-            matchings = [table.match(i) for i in range(len(ALPHAS))]
+            matchings = table.sweep()
             per_alpha = [table.ratios(matching) for matching in matchings]
         finally:
             sys.setprofile(None)
@@ -752,8 +928,7 @@ class TestBoundedLocA:
         with mock.patch.object(spatial, "_LOC_BITS", bits):
             table = spatial._Scenario(gt, pred, ALPHAS)
             loc_a = hota_sweep(gt, pred)[0].loc_a
-        for i in range(len(ALPHAS)):
-            matching = table.match(i)
+        for matching in table.sweep():
             ious = [Fraction(*table.iou[frame][pair][:2])
                     for frame, pairs in matching for pair in pairs]
             if not ious:

@@ -44,7 +44,8 @@ class TestTemporalIou:
         assert temporal_iou(seg(5, 5), seg(5, 5)) == 1.0
 
     def test_segments_longer_than_len_allows(self):
-        """len() refuses 2**63 or more; the IoU is still exact."""
+        """Segments of 2**63 frames or more, past a C ssize_t, have an
+        exact IoU."""
         assert temporal_iou(seg(1, 2**64), seg(1, 2**63)) == 0.5
 
 
