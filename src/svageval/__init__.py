@@ -32,7 +32,6 @@ from .ingest import (
 from .spatial import (
     ALPHAS,
     AlphaMatchResult,
-    box_iou,
     hota_at_alpha,
     hota_sweep,
     match_at_alpha,
@@ -51,7 +50,6 @@ from .pipeline import evaluate_datasets, evaluate_query
 from .synth import (
     ScenarioSpec,
     generate,
-    generate_count_bundle,
     oracle_hota,
     oracle_temporal,
     write_split,

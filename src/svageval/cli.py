@@ -37,8 +37,6 @@ EXIT_VALIDATION = 2
 
 DEFAULT_DATASETS = "ovis,mot17,mot20"
 
-log = logging.getLogger("svageval")
-
 
 def _setup_logging() -> None:
     level_name = os.environ.get("SVAGEVAL_LOG", "warn").lower()

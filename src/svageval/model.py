@@ -48,10 +48,6 @@ class BoundingBox:
         _require(self.w > 0, "w", "must be positive")
         _require(self.h > 0, "h", "must be positive")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -141,9 +137,6 @@ class Referent:
                      f"segments [{a.start},{a.end}] and [{b.start},{b.end}] "
                      "overlap")
         object.__setattr__(self, "gt_segments", segs)
-
-    def covers(self, frame: int) -> bool:
-        return any(s.covers(frame) for s in self.gt_segments)
 
 
 @dataclass(frozen=True)

@@ -131,14 +131,6 @@ def _overlap(a, b) -> int:
     return iw * ih if ih > 0 else 0
 
 
-def box_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint."""
-    shift = _shift((a, b))
-    a, b = _int_box(a, shift), _int_box(b, shift)
-    inter = _overlap(a, b)
-    return inter / (a[4] + b[4] - inter)
-
-
 def _sum(ratios) -> tuple[int, int]:
     """The sum of (numerator, denominator) int pairs, as one such pair over
     the lcm of their denominators."""
@@ -348,44 +340,16 @@ class _Scenario:
         return values
 
 
-def _optimal_pairs(feasible, iou_table, alignment):
-    """Maximum-cardinality assignment over the feasible pairs; among those,
-    maximum total (alignment + IOU_EPSILON * iou); remaining ties broken
-    toward the lexicographically smallest sorted (gt_id, pred_id) pair list.
-    `iou_table` maps each pair to its IoU's (inter, union, ...) and
-    `alignment` to (count, span), the alignment being count / span; the
-    objective is then an int numerator over IOU_EPSILON's denominator
-    times span * union. `_Scenario.sweep` finds, in one pass, the pairs
-    this gives each frame at every threshold.
-
-    Solved one connected component of the feasible bipartite graph at a
-    time, which is exact: cardinality and objective add up over
-    components, and for two equal-size sorted pair lists the
-    lexicographically smaller one is the one holding the smallest pair of
-    their symmetric difference, a pair that lies in a single component.
-    Every feasible pair reaches the threshold in this frame, so it has an
-    alignment."""
-    if len(feasible) < 2:
-        return feasible
-    pairs = []
-    for component in _components(feasible):
-        objective = {}
-        for pair in component:
-            count, span = alignment[pair]
-            inter, union = iou_table[pair][:2]
-            objective[pair] = (_EPS_DEN * count * union
-                               + _EPS_NUM * span * inter,
-                               _EPS_DEN * span * union)
-        pairs.extend(_component_optimum(component, objective))
-    pairs.sort()
-    return pairs
-
-
 def _component_optimum(component, objective):
     """The optimal pairs of one connected component, given as a sorted
-    pair list, with each pair's objective as (numerator, denominator). A
-    component with one id on either side is solved by its best pair; any
-    other by `_component_pairs`, over its own ids."""
+    pair list, with each pair's objective as (numerator, denominator): the
+    most pairs, then the largest objective sum, then the lexicographically
+    smallest sorted pair list. A component with one id on either side is
+    solved by its best pair; any other by `_component_pairs`, over its own
+    ids. Solving a frame one component at a time is exact: cardinality and
+    objective add up over components, and of two equal-size sorted pair
+    lists the lexicographically smaller holds the smallest pair of their
+    symmetric difference, a pair that lies in a single component."""
     gids = {g for g, _ in component}
     pids = {p for _, p in component}
     if len(gids) == 1 or len(pids) == 1:

@@ -143,7 +143,7 @@ def _predict(spec: ScenarioSpec, rng: random.Random, tracks, query: Query,
             identity[a], identity[b] = identity[b], identity[a]
         for referent in query.referents:
             tid = referent.gt_track_id
-            if not referent.covers(frame):
+            if not any(s.covers(frame) for s in referent.gt_segments):
                 continue
             if rng.random() < spec.drop_prob:
                 continue
@@ -194,38 +194,6 @@ def _predict(spec: ScenarioSpec, rng: random.Random, tracks, query: Query,
                 segment=TemporalSegment(1, frames), score=0.3),)
     return PredictionSet(query_id=query.query_id, video_id=_SYNTH_VIDEO_ID,
                          tracks=pred_tracks, temporal=temporal)
-
-
-def generate_count_bundle(videos: int, queries: int,
-                          tracks: int) -> GroundTruthBundle:
-    """Minimal bundle with exact video/query/referent-track counts, for
-    density statistics. Requires queries >= tracks >= videos."""
-    if not videos >= 1:
-        raise ValueError("videos must be >= 1")
-    if tracks < videos or queries < tracks:
-        raise ValueError("need queries >= tracks >= videos")
-    bundle = GroundTruthBundle()
-    base_t, extra_t = divmod(tracks, videos)
-    base_q, extra_q = divmod(queries, videos)
-    for vi in range(videos):
-        video_id = f"v{vi + 1:05d}"
-        n_t = base_t + (1 if vi < extra_t else 0)
-        n_q = base_q + (1 if vi < extra_q else 0)
-        vid_tracks = {
-            tid: Track(track_id=tid, detections=(
-                Detection(frame=1, track_id=tid,
-                          box=BoundingBox(x=10 * tid, y=0, w=5, h=5)),))
-            for tid in range(1, n_t + 1)}
-        vid_queries = [
-            Query(query_id=f"q{qi + 1:05d}", video_id=video_id,
-                  text=f"count query {qi + 1}",
-                  referents=(Referent(
-                      gt_track_id=(qi % n_t) + 1,
-                      gt_segments=(TemporalSegment(1, 1),)),))
-            for qi in range(n_q)]
-        bundle.videos[video_id] = VideoGroundTruth(
-            video_id=video_id, tracks=vid_tracks, queries=vid_queries)
-    return bundle
 
 
 def _num(value) -> str:
@@ -478,12 +446,13 @@ def oracle_hota(gt_tracks, pred_tracks) -> HotaComponents:
     )
 
 
-def _oracle_interval_iou(a: TemporalSegment, b: TemporalSegment) -> float:
+def _oracle_interval_iou(a: TemporalSegment,
+                         b: TemporalSegment) -> Fraction:
     overlap = min(a.end, b.end) - max(a.start, b.start) + 1
     if overlap <= 0:
-        return 0.0
+        return Fraction(0)
     total = (a.end - a.start + 1) + (b.end - b.start + 1) - overlap
-    return overlap / total
+    return Fraction(overlap, total)
 
 
 def _oracle_ranking(candidates) -> list[ScoredSegment]:
@@ -505,7 +474,7 @@ def _oracle_ranking(candidates) -> list[ScoredSegment]:
 
 
 def oracle_temporal(pairs) -> TemporalMetrics:
-    """Naive quadratic re-computation of every temporal metric."""
+    """Naive quadratic re-computation of every temporal metric, exactly."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no referents in scope")
@@ -514,6 +483,7 @@ def oracle_temporal(pairs) -> TemporalMetrics:
             raise ValueError("oracle supports at most "
                              f"{MAX_ORACLE_CANDIDATES} candidates per pair")
     taus = (0.1, 0.3, 0.5)
+    exact = {tau: Fraction(str(tau)) for tau in taus}
     n = len(pairs)
     recalls: dict[int, dict[float, float]] = {}
     for k in (1, 5, 10):
@@ -525,7 +495,8 @@ def oracle_temporal(pairs) -> TemporalMetrics:
                 hit = False
                 for cand in ranked:
                     for seg in pair.gt_segments:
-                        if _oracle_interval_iou(cand.segment, seg) >= tau:
+                        if _oracle_interval_iou(cand.segment,
+                                                seg) >= exact[tau]:
                             hit = True
                 if hit:
                     hits += 1
@@ -540,12 +511,12 @@ def oracle_temporal(pairs) -> TemporalMetrics:
             ap = 0.0
             for rank, cand in enumerate(ranked, start=1):
                 choice = -1
-                choice_iou = 0.0
+                choice_iou = Fraction(0)
                 for idx, seg in enumerate(pair.gt_segments):
                     if claimed[idx]:
                         continue
                     value = _oracle_interval_iou(cand.segment, seg)
-                    if value >= tau and value > choice_iou:
+                    if value >= exact[tau] and value > choice_iou:
                         choice = idx
                         choice_iou = value
                 if choice >= 0:
@@ -558,12 +529,12 @@ def oracle_temporal(pairs) -> TemporalMetrics:
     for pair in pairs:
         ranked = _oracle_ranking(pair.predictions)
         if ranked:
-            best = 0.0
+            best = Fraction(0)
             for seg in pair.gt_segments:
                 value = _oracle_interval_iou(ranked[0].segment, seg)
                 if value > best:
                     best = value
-            miou_total += best
+            miou_total += float(best)
     return TemporalMetrics(
         r1=recalls[1], r5=recalls[5], r10=recalls[10],
         map_at=maps, miou=miou_total / n,

@@ -14,11 +14,14 @@ and mIoU the mean top-1 IoU.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import (PredictionSet, Query, ScoredSegment, TemporalMetrics,
                     TemporalSegment, ValidationError)
 
 TAUS: tuple[float, ...] = (0.1, 0.3, 0.5)
+# Each τ's decimal as (numerator, denominator): 0.3 is 3/10, not the float.
+_TAU_RATIOS = tuple(Fraction(str(tau)).as_integer_ratio() for tau in TAUS)
 RECALL_KS: tuple[int, ...] = (1, 5, 10)
 
 
@@ -63,12 +66,17 @@ def build_temporal_pairs(id_map: dict[int, int], query: Query,
             for referent in query.referents]
 
 
+def _overlap(a: TemporalSegment, b: TemporalSegment) -> tuple[int, int]:
+    """Intersection and union of two inclusive intervals, as ints."""
+    inter = min(a.end, b.end) - max(a.start, b.start) + 1
+    if inter < 0:
+        inter = 0
+    return inter, (a.end - a.start + 1) + (b.end - b.start + 1) - inter
+
+
 def temporal_iou(a: TemporalSegment, b: TemporalSegment) -> float:
     """Interval IoU with inclusive endpoints; [k, k] has length 1."""
-    inter = min(a.end, b.end) - max(a.start, b.start) + 1
-    if inter <= 0:
-        return 0.0
-    union = (a.end - a.start + 1) + (b.end - b.start + 1) - inter
+    inter, union = _overlap(a, b)
     return inter / union
 
 
@@ -81,8 +89,11 @@ def nms(candidates, threshold: float) -> list[ScoredSegment]:
     ranked = sorted(candidates, key=_rank_key)
     kept: list[ScoredSegment] = []
     for cand in ranked:
-        if all(temporal_iou(cand.segment, k.segment) <= threshold
-               for k in kept):
+        for k in kept:
+            inter, union = _overlap(cand.segment, k.segment)
+            if inter / union > threshold:
+                break
+        else:
             kept.append(cand)
     return kept
 
@@ -93,27 +104,30 @@ def _scan(gt_segments, ranked
     τ, and its top-1 IoU (0 without candidates). AP claims one-to-one:
     each candidate takes the unclaimed ground-truth segment of highest IoU
     at least τ, so the first claim is the first hit, and a single segment
-    gives 1/rank-of-first-hit."""
-    table = [[temporal_iou(c.segment, g) for g in gt_segments]
-             for c in ranked]
+    gives 1/rank-of-first-hit. Each IoU is an int (inter, union), compared
+    with τ's decimal and with the best so far by cross-multiplying."""
+    table = [[_overlap(c.segment, g) for g in gt_segments] for c in ranked]
     first_hit: dict[float, int] = {}
     ap: dict[float, float] = {}
-    for tau in TAUS:
+    for tau, (num, den) in zip(TAUS, _TAU_RATIOS):
         claimed: set[int] = set()
         total = 0.0
         for rank, row in enumerate(table, start=1):
             best_idx = -1
-            best_iou = 0.0
-            for idx, value in enumerate(row):
-                if value >= tau and value > best_iou and idx not in claimed:
+            best_inter, best_union = 0, 1
+            for idx, (inter, union) in enumerate(row):
+                if (inter * den >= num * union
+                        and inter * best_union > best_inter * union
+                        and idx not in claimed):
                     best_idx = idx
-                    best_iou = value
+                    best_inter, best_union = inter, union
             if best_idx >= 0:
                 claimed.add(best_idx)
                 first_hit.setdefault(tau, rank)
                 total += len(claimed) / rank
         ap[tau] = total / len(gt_segments)
-    return first_hit, ap, max(table[0]) if table else 0.0
+    return first_hit, ap, (max(inter / union for inter, union in table[0])
+                           if table else 0.0)
 
 
 def evaluate_temporal(pairs, nms_threshold: float | None = None

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 
-from svageval.model import BoundingBox, Detection, ScoredSegment, \
-    TemporalSegment, Track
+from svageval.ingest import GroundTruthBundle, VideoGroundTruth
+from svageval.model import BoundingBox, Detection, Query, Referent, \
+    ScoredSegment, TemporalSegment, Track
 from svageval.synth import MAX_ORACLE_FRAMES, MAX_ORACLE_TRACKS
 from svageval.temporal import TemporalPair
 
@@ -95,6 +96,38 @@ def random_pairs(rng: random.Random, max_pairs=6, max_candidates=12):
                 round(rng.random(), 2)))
         pairs.append(TemporalPair("q", 1, tuple(gts), tuple(cands)))
     return pairs
+
+
+def generate_count_bundle(videos: int, queries: int,
+                          tracks: int) -> GroundTruthBundle:
+    """Minimal bundle with exact video/query/referent-track counts, for
+    density statistics. Requires queries >= tracks >= videos."""
+    if not videos >= 1:
+        raise ValueError("videos must be >= 1")
+    if tracks < videos or queries < tracks:
+        raise ValueError("need queries >= tracks >= videos")
+    bundle = GroundTruthBundle()
+    base_t, extra_t = divmod(tracks, videos)
+    base_q, extra_q = divmod(queries, videos)
+    for vi in range(videos):
+        video_id = f"v{vi + 1:05d}"
+        n_t = base_t + (1 if vi < extra_t else 0)
+        n_q = base_q + (1 if vi < extra_q else 0)
+        vid_tracks = {
+            tid: Track(track_id=tid, detections=(
+                Detection(frame=1, track_id=tid,
+                          box=BoundingBox(x=10 * tid, y=0, w=5, h=5)),))
+            for tid in range(1, n_t + 1)}
+        vid_queries = [
+            Query(query_id=f"q{qi + 1:05d}", video_id=video_id,
+                  text=f"count query {qi + 1}",
+                  referents=(Referent(
+                      gt_track_id=(qi % n_t) + 1,
+                      gt_segments=(TemporalSegment(1, 1),)),))
+            for qi in range(n_q)]
+        bundle.videos[video_id] = VideoGroundTruth(
+            video_id=video_id, tracks=vid_tracks, queries=vid_queries)
+    return bundle
 
 
 @pytest.fixture

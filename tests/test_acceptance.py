@@ -17,7 +17,6 @@ from svageval.spatial import (
 from svageval.synth import (
     ScenarioSpec,
     generate,
-    generate_count_bundle,
     oracle_hota,
     oracle_temporal,
     write_split,
@@ -26,7 +25,7 @@ from svageval.temporal import TemporalPair, evaluate_temporal
 from svageval.ingest import DatasetSplit
 from svageval._util import format_fixed
 
-from conftest import random_pairs, random_tracks
+from conftest import generate_count_bundle, random_pairs, random_tracks
 
 
 @contextlib.contextmanager

@@ -30,9 +30,10 @@ from svageval.model import (
 from svageval.synth import (
     ScenarioSpec,
     generate,
-    generate_count_bundle,
     write_split,
 )
+
+from conftest import generate_count_bundle
 
 
 class TestParseTrackCsv:
@@ -320,6 +321,22 @@ class TestComputeStats:
     def test_zero_videos(self):
         with pytest.raises(ValueError):
             compute_stats(GroundTruthBundle())
+
+
+class TestGenerateCountBundle:
+    def test_counts(self):
+        bundle = generate_count_bundle(videos=3, queries=10, tracks=7)
+        assert len(bundle.videos) == 3
+        assert sum(len(v.queries) for v in bundle.videos.values()) == 10
+        ref_pairs = {
+            (vid, r.gt_track_id)
+            for vid, v in bundle.videos.items()
+            for q in v.queries for r in q.referents}
+        assert len(ref_pairs) == 7
+
+    def test_invalid_ordering(self):
+        with pytest.raises(ValueError):
+            generate_count_bundle(videos=3, queries=2, tracks=4)
 
 
 class TestLoadGroundTruth:

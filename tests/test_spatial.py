@@ -16,7 +16,6 @@ from svageval.pipeline import _duplicate_winners, evaluate_query
 from svageval.spatial import (
     ALPHAS,
     MAPPING_ALPHA,
-    box_iou,
     hota_at_alpha,
     hota_sweep,
     match_at_alpha,
@@ -31,28 +30,41 @@ from conftest import (constant_track, float_scenarios, make_track,
                       random_tracks)
 
 
+def _table_iou(a, b):
+    """The exact IoU of two boxes, from the (inter, union) that a
+    `_Scenario` table holds for a one-box GT and a one-box predicted track.
+    Its one threshold is below any positive IoU of the boxes here, so a
+    pair missing from the table has no overlap."""
+    table = spatial._Scenario([constant_track(1, a, [1])],
+                              [constant_track(1, b, [1])],
+                              (Fraction(1, 2 ** 64),)).iou[1]
+    inter, union = table.get((1, 1), (0, 1))[:2]
+    return Fraction(inter, union)
+
+
 class TestBoxIou:
     def test_identical(self, unit_box):
-        assert box_iou(unit_box, unit_box) == 1.0
+        assert _table_iou(unit_box, unit_box) == 1
 
     def test_disjoint(self, unit_box):
-        assert box_iou(unit_box, BoundingBox(100, 100, 10, 10)) == 0.0
+        assert _table_iou(unit_box, BoundingBox(100, 100, 10, 10)) == 0
 
     def test_touching_edges_is_zero(self, unit_box):
-        assert box_iou(unit_box, BoundingBox(10, 0, 10, 10)) == 0.0
+        assert _table_iou(unit_box, BoundingBox(10, 0, 10, 10)) == 0
 
     def test_half_overlap(self, unit_box):
         # shift by half the width: inter 50, union 150
-        assert box_iou(unit_box, BoundingBox(5, 0, 10, 10)) == pytest.approx(
-            1 / 3, abs=1e-12)
+        assert (_table_iou(unit_box, BoundingBox(5, 0, 10, 10))
+                == Fraction(1, 3))
 
     def test_exact_half(self, unit_box):
         # same origin, double height: inter 100, union 200
-        assert box_iou(unit_box, BoundingBox(0, 0, 10, 20)) == 0.5
+        assert (_table_iou(unit_box, BoundingBox(0, 0, 10, 20))
+                == Fraction(1, 2))
 
     def test_symmetry(self, unit_box):
         other = BoundingBox(3, 4, 7, 9)
-        assert box_iou(unit_box, other) == box_iou(other, unit_box)
+        assert _table_iou(unit_box, other) == _table_iou(other, unit_box)
 
 
 class TestAlphaSweep:
@@ -454,11 +466,36 @@ class TestLevels:
                     == (values["tp"], values["fn"], values["fp"]))
 
 
+def _optimal_pairs(feasible, iou_table, alignment):
+    """The one-frame reference solve: maximum-cardinality assignment over
+    the feasible pairs; among those, maximum total (alignment +
+    IOU_EPSILON * iou); remaining ties broken toward the lexicographically
+    smallest sorted (gt_id, pred_id) pair list. `iou_table` maps each pair
+    to its IoU's (inter, union, ...) and `alignment` to (count, span), the
+    alignment being count / span; the objective is then an int numerator
+    over IOU_EPSILON's denominator times span * union. Each connected
+    component is solved by `_component_optimum`, as the sweep solves it."""
+    if len(feasible) < 2:
+        return feasible
+    pairs = []
+    for component in spatial._components(feasible):
+        objective = {}
+        for pair in component:
+            count, span = alignment[pair]
+            inter, union = iou_table[pair][:2]
+            objective[pair] = (spatial._EPS_DEN * count * union
+                               + spatial._EPS_NUM * span * inter,
+                               spatial._EPS_DEN * span * union)
+        pairs.extend(spatial._component_optimum(component, objective))
+    pairs.sort()
+    return pairs
+
+
 def _solve_each_threshold(table):
     """The sweep's reference: at each threshold index i, `_optimal_pairs`
     over each frame's pairs of level above i, with alignment (counts[pair][i],
     span[pair])."""
-    return [[(frame, spatial._optimal_pairs(
+    return [[(frame, _optimal_pairs(
                 [pair for pair, entry in iou.items() if entry[4] > i], iou,
                 {pair: (hits[i], table.span[pair])
                  for pair, hits in table.counts.items()}))
@@ -706,7 +743,7 @@ def _solve_exactly(frame):
     as_ints = [{pair: value.as_integer_ratio()
                 for pair, value in table.items()}
                for table in (iou_table, alignment)]
-    return (spatial._optimal_pairs(feasible, *as_ints),
+    return (_optimal_pairs(feasible, *as_ints),
             _exhaustive_pairs(*frame))
 
 
@@ -759,7 +796,7 @@ class TestAssignment:
         iou_table = {pair: (1, 2) for pair in feasible}
         alignment = {pair: (1, 6) for pair in feasible}
         alignment[2, 5] = alignment[2, 6] = (1, 3)
-        assert (spatial._optimal_pairs(feasible, iou_table, alignment)
+        assert (_optimal_pairs(feasible, iou_table, alignment)
                 == [(1, 1), (2, 5), (4, 6)])
 
     def test_tie_free_dense_frame_is_certified(self, monkeypatch):
@@ -773,7 +810,7 @@ class TestAssignment:
                      for k, pair in enumerate(feasible, start=1)}
         frame = (feasible, {pair: Fraction(1, 2) for pair in feasible},
                  {pair: Fraction(*value) for pair, value in alignment.items()})
-        assert (spatial._optimal_pairs(feasible, iou_table, alignment)
+        assert (_optimal_pairs(feasible, iou_table, alignment)
                 == _exhaustive_pairs(*frame))
         assert calls == []
 
@@ -786,7 +823,7 @@ class TestAssignment:
         alignment = {(1, 1): (1, 3), (1, 2): (1, 2), (2, 1): (1, 6),
                      (2, 2): (1, 3)}
         iou_table = {pair: (1, 2) for pair in alignment}
-        assert (spatial._optimal_pairs(sorted(alignment), iou_table,
+        assert (_optimal_pairs(sorted(alignment), iou_table,
                                        alignment) == [(1, 1), (2, 2)])
         assert calls == [4]
 

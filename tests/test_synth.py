@@ -8,7 +8,6 @@ from svageval.synth import (
     MAX_ORACLE_TRACKS,
     ScenarioSpec,
     generate,
-    generate_count_bundle,
     oracle_hota,
     oracle_temporal,
     write_split,
@@ -84,22 +83,6 @@ class TestGenerate:
         video = bundle.videos["video0001"]
         spatial, _ = evaluate_query(video, video.queries[0], preds[0])
         assert spatial.fp > 0
-
-
-class TestGenerateCountBundle:
-    def test_counts(self):
-        bundle = generate_count_bundle(videos=3, queries=10, tracks=7)
-        assert len(bundle.videos) == 3
-        assert sum(len(v.queries) for v in bundle.videos.values()) == 10
-        ref_pairs = {
-            (vid, r.gt_track_id)
-            for vid, v in bundle.videos.items()
-            for q in v.queries for r in q.referents}
-        assert len(ref_pairs) == 7
-
-    def test_invalid_ordering(self):
-        with pytest.raises(ValueError):
-            generate_count_bundle(videos=3, queries=2, tracks=4)
 
 
 class TestWriteSplit:

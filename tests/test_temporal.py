@@ -5,6 +5,7 @@ import pytest
 from svageval.model import (BoundingBox, PredictionSet, Query, Referent,
                             ScoredSegment, TemporalSegment, ValidationError)
 from svageval.spatial import hota_sweep
+from svageval.synth import oracle_temporal
 from svageval.temporal import (
     RECALL_KS,
     TAUS,
@@ -259,3 +260,38 @@ class TestEvaluateTemporal:
     def test_empty_scope_rejected(self):
         with pytest.raises(ValueError, match="no referents"):
             evaluate_temporal([])
+
+
+@pytest.mark.parametrize("score", (evaluate_temporal, oracle_temporal),
+                         ids=("engine", "oracle"))
+class TestExactThresholds:
+    """τ is read as its decimal and each IoU as its exact ratio: an IoU that
+    only rounds to τ misses it, in the engine and in the oracle alike."""
+
+    def test_iou_that_rounds_to_tau_misses(self, score):
+        # The exact IoU (3·10**16 - 1) / 10**17 is below 3/10, and its
+        # float is 0.3.
+        gt, candidate = seg(1, 10**17), seg(1, 3 * 10**16 - 1)
+        assert temporal_iou(candidate, gt) == 0.3
+        metrics = score([TemporalPair("q", 1, (gt,), (
+            ScoredSegment(candidate, 0.9),))])
+        for table in (metrics.r1, metrics.r5, metrics.r10, metrics.map_at):
+            assert table == {0.1: 1.0, 0.3: 0.0, 0.5: 0.0}
+
+    def test_iou_of_exactly_tau_hits(self, score):
+        metrics = score([TemporalPair("q", 1, (seg(1, 10),),
+                                      (cand(1, 3, 0.9),))])
+        for table in (metrics.r1, metrics.r5, metrics.r10, metrics.map_at):
+            assert table == {0.1: 1.0, 0.3: 1.0, 0.5: 0.0}
+
+    def test_claim_goes_to_the_exactly_larger_iou(self, score):
+        # The first candidate's IoUs with the two GT segments are
+        # n / (2n + 2), just below 1/2, and 1/2, and both round to the float
+        # 0.5. It claims the second segment, so the second candidate, equal
+        # to that segment, finds nothing left to claim.
+        n = 10**17
+        gt = (seg(1, n), seg(n + 2, 2 * n + 2))
+        pair = TemporalPair("q", 1, gt, (cand(1, 2 * n + 2, 0.9),
+                                         cand(n + 2, 2 * n + 2, 0.8)))
+        assert temporal_iou(pair.predictions[0].segment, gt[0]) == 0.5
+        assert score([pair]).map_at[0.1] == 0.5
