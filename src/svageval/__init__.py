@@ -29,13 +29,7 @@ from .ingest import (
     parse_track_csv,
     validate_split,
 )
-from .spatial import (
-    ALPHAS,
-    AlphaMatchResult,
-    hota_at_alpha,
-    hota_sweep,
-    match_at_alpha,
-)
+from .spatial import ALPHAS, HotaSweep, hota_sweep
 from .temporal import (TemporalPair, build_temporal_pairs, evaluate_temporal,
                        nms, temporal_iou)
 from .report import (

@@ -20,7 +20,7 @@ non-empty referent list) and name the field; this module decides where
 the value was read and raises :class:`IngestError` with the file path
 plus a ``line N`` or a ``$.``-rooted JSON path. What only the file format
 knows stays here: field counts, plain-ASCII numbers, JSON types, the
-``[start, end]`` pair, duplicate lines and entries, and directory names.
+``[start, end]`` pair, duplicate lines, entries and keys, and directory names.
 Unknown extra JSON fields are ignored (forward compatibility).
 """
 from __future__ import annotations
@@ -147,14 +147,23 @@ def parse_track_csv(path, with_score: bool = False) -> list[Track]:
     ]
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members; a key given twice raises ValueError."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return data
+
+
 def _json_load(path) -> dict:
     path = Path(path)
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_read_text(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise IngestError(path, f"line {exc.lineno}",
                           f"invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past Python's digit limit
+    except ValueError as exc:  # a repeated key, or an overlong integer
         raise IngestError(path, "", f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise IngestError(path, "", "invalid JSON: nested too deeply") from exc

@@ -55,8 +55,9 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
                 f"track {referent.gt_track_id} not in GT tracks")
         gt_tracks.append(restrict_track(track, referent.gt_segments))
     pred_tracks = list(predset.tracks) if predset is not None else []
-    components, id_map = hota_sweep(gt_tracks, pred_tracks)
-    return components, build_temporal_pairs(id_map, query, predset)
+    sweep = hota_sweep(gt_tracks, pred_tracks)
+    return sweep.components, build_temporal_pairs(sweep.id_map, query,
+                                                  predset)
 
 
 def _duplicate_winners(pairs) -> dict[int, list[int]]:

@@ -33,9 +33,9 @@ denominator) pairs and counts each track pair's matched frames; a
 threshold whose matching equals the one below it shares that reduction.
 Each mean over thresholds is taken over one common denominator and
 converted by one int true division, which rounds correctly, so it is the
-float of the exact value. A single threshold is the same scenario over
-one threshold. A `Fraction` IoU is built only for the matching
-`match_at_alpha` returns and in the exact LocA fallback.
+float of the exact value. `HotaSweep.at` reduces one threshold's alone.
+A `Fraction` IoU is built only for the matching `at` returns and in the
+exact LocA fallback.
 
 The same counts at MAPPING_ALPHA are the identity vote: `hota_sweep` maps
 each GT id to the predicted id it matched in the most frames there, ties
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (_COUNT_FIELDS, _RATIO_FIELDS, BoundingBox,
@@ -150,14 +150,6 @@ class FrameMatch:
     matches: tuple[tuple[int, int, Fraction], ...]  # (gt_id, pred_id, iou)
 
 
-@dataclass(frozen=True)
-class AlphaMatchResult:
-    """Per-frame one-to-one matching at a single localization threshold."""
-
-    alpha: Fraction
-    frames: tuple[FrameMatch, ...]
-
-
 def _by_frame(tracks, shift):
     """frame -> {track_id: `_int_box`}, and track_id -> its set of frames.
     A track id given twice raises ValueError."""
@@ -174,14 +166,14 @@ def _by_frame(tracks, shift):
 
 class _Scenario:
     """One (video, query)'s tracks, frame by frame, with each pair's IoU
-    tested once against the ascending `alphas`. `iou[frame][(gid, pid)]`
+    tested once against the ascending `ALPHAS`. `iou[frame][(gid, pid)]`
     is (inter, union, floor, inexact, level) for each pair reaching
-    `alphas[0]`: intersection and union on the query's integer scale,
+    `ALPHAS[0]`: intersection and union on the query's integer scale,
     floor(inter * 2**bits / union), whether it is inexact, and the number
     of thresholds reached; every frame of either side has a table, in
-    frame order. `counts[pair][i]` counts the frames reaching `alphas[i]`."""
+    frame order. `counts[pair][i]` counts the frames reaching `ALPHAS[i]`."""
 
-    def __init__(self, gt_tracks, pred_tracks, alphas):
+    def __init__(self, gt_tracks, pred_tracks):
         shift = _shift(det.box for track in (*gt_tracks, *pred_tracks)
                        for det in track.detections)
         gt_boxes, self.gt_frames = _by_frame(gt_tracks, shift)
@@ -189,8 +181,7 @@ class _Scenario:
         self.gt_count = sum(map(len, self.gt_frames.values()))
         self.pred_count = sum(map(len, self.pred_frames.values()))
         self.bits = bits = _LOC_BITS
-        self.alphas = alphas
-        ratios = [alpha.as_integer_ratio() for alpha in alphas]
+        ratios = [alpha.as_integer_ratio() for alpha in ALPHAS]
         self.iou: dict[int, dict[tuple[int, int], tuple]] = {}
         counts = self.counts = {}
         for frame in sorted(set(gt_boxes) | set(pred_boxes)):
@@ -203,7 +194,7 @@ class _Scenario:
                             lambda r: inter * r[1] < r[0] * union)):
                         floor, rem = divmod(inter << bits, union)
                         table[gid, pid] = (inter, union, floor, rem > 0, level)
-                        hits = counts.setdefault((gid, pid), [0] * len(alphas))
+                        hits = counts.setdefault((gid, pid), [0] * len(ALPHAS))
                         for i in range(level):
                             hits[i] += 1
         # |frames where either track appears|, the alignment's denominator.
@@ -212,14 +203,14 @@ class _Scenario:
 
     def sweep(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """Each frame's optimal matching at every threshold: for each
-        `alphas[i]`, a list of (frame, sorted pairs) in frame order, guided
+        `ALPHAS[i]`, a list of (frame, sorted pairs) in frame order, guided
         by each track pair's alignment counts[pair][i] / span[pair] (a
         Jaccard index over frames). A frame whose matching is the same at
         two thresholds gives both the same list."""
         per_frame = [self._frame_sweep(table) for table in self.iou.values()]
         return [[(frame, optima[i]) for frame, optima in zip(self.iou,
                                                               per_frame)]
-                for i in range(len(self.alphas))]
+                for i in range(len(ALPHAS))]
 
     def _frame_sweep(self, table) -> list[list[tuple[int, int]]]:
         """One frame's optimal pairs at each threshold, found in one pass
@@ -227,7 +218,7 @@ class _Scenario:
         graph as i falls, each once, into explicit components (node ->
         component, the smaller merged into the larger); a component is
         solved again only when its pairs or their counts at i changed."""
-        n = len(self.alphas)
+        n = len(ALPHAS)
         if len(table) < 2:
             # A lone pair of level L is matched at every i < L.
             optima = [[]] * n
@@ -593,28 +584,6 @@ def _max_weight_assignment(weight):
     return assignment, [top - x for x in u[1:]], [-x for x in v[1:]]
 
 
-def match_at_alpha(gt_tracks, pred_tracks, alpha) -> AlphaMatchResult:
-    """Per-frame optimal one-to-one matching at one threshold, guided by the
-    track alignment at that threshold, with the IoU of each matched pair as
-    a Fraction."""
-    alpha = _as_alpha(alpha)
-    scenario = _Scenario(gt_tracks, pred_tracks, (alpha,))
-    iou = scenario.iou
-    return AlphaMatchResult(alpha=alpha, frames=tuple(
-        FrameMatch(frame, tuple((g, p, Fraction(*iou[frame][g, p][:2]))
-                                for g, p in pairs))
-        for frame, pairs in scenario.sweep()[0]))
-
-
-def _as_alpha(alpha) -> Fraction:
-    # Through str, so that the float 0.05 means 1/20 and not the binary
-    # value just above it.
-    value = Fraction(str(alpha))
-    if not 0 < value < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return value
-
-
 def _exact_loc_a(scenario: _Scenario, matchings) -> float:
     """LocA averaged over the matchings, with the matched IoUs summed as
     Fractions: the fallback for when its bounds round to two doubles."""
@@ -627,16 +596,9 @@ def _exact_loc_a(scenario: _Scenario, matchings) -> float:
     return float(total / len(matchings))
 
 
-def _hota_components(scenario) -> tuple[HotaComponents, list[dict]]:
-    """The HOTA fields averaged over the scenario's thresholds, and each
-    one's `ratios`. With more than one threshold the result is
-    alpha-averaged and its counts are means."""
-    matchings = scenario.sweep()
-    per_alpha = []
-    for i, matching in enumerate(matchings):
-        # No caller mutates a `ratios` dict, so equal matchings share one.
-        per_alpha.append(per_alpha[-1] if i and matching == matchings[i - 1]
-                         else scenario.ratios(matching))
+def _reduce(scenario: _Scenario, matchings, per_alpha) -> HotaComponents:
+    """The HOTA fields averaged over the matchings' `ratios`; over more
+    than one threshold they are alpha-averaged, and the counts are means."""
     n = len(per_alpha)
     fields = {"hota": sum(values["hota"] for values in per_alpha) / n}
     for name in _EXACT_FIELDS:
@@ -648,30 +610,59 @@ def _hota_components(scenario) -> tuple[HotaComponents, list[dict]]:
     for name in _COUNT_FIELDS:
         total = sum(values[name] for values in per_alpha)
         fields[name] = total / n if n > 1 else total
-    return HotaComponents(**fields, alpha_averaged=n > 1), per_alpha
+    return HotaComponents(**fields, alpha_averaged=n > 1)
 
 
-def hota_at_alpha(gt_tracks, pred_tracks, alpha) -> HotaComponents:
-    """HOTA decomposition at a single localization threshold."""
-    scenario = _Scenario(gt_tracks, pred_tracks, (_as_alpha(alpha),))
-    return _hota_components(scenario)[0]
+@dataclass(frozen=True)
+class HotaSweep:
+    """One (video, query)'s sweep: the components averaged over `ALPHAS`,
+    and the identity map {gt id: predicted id} in ascending GT id. It keeps
+    the scenario, its matchings and their `ratios`, so that `at` reads a
+    threshold's result without matching again."""
+
+    components: HotaComponents
+    id_map: dict[int, int]
+    _scenario: _Scenario = field(compare=False, repr=False)
+    _matchings: list = field(compare=False, repr=False)
+    _per_alpha: list[dict] = field(compare=False, repr=False)
+
+    def at(self, alpha) -> tuple[HotaComponents, tuple[FrameMatch, ...]]:
+        """The components at one threshold of `ALPHAS`, and its per-frame
+        matching with each matched pair's IoU as a Fraction. alpha is read
+        as its decimal, so that the float 0.05 means 1/20; any value not in
+        `ALPHAS` raises ValueError."""
+        try:
+            i = ALPHAS.index(Fraction(str(alpha)))
+        except ValueError:
+            raise ValueError(f"alpha {alpha!r} is not one of ALPHAS") from None
+        matching, iou = self._matchings[i], self._scenario.iou
+        frames = tuple(FrameMatch(frame, tuple(
+            (g, p, Fraction(*iou[frame][g, p][:2])) for g, p in pairs))
+            for frame, pairs in matching)
+        return (_reduce(self._scenario, [matching], [self._per_alpha[i]]),
+                frames)
 
 
-def hota_sweep(gt_tracks, pred_tracks
-               ) -> tuple[HotaComponents, dict[int, int]]:
-    """Each component averaged over the threshold sweep, and the identity
-    map {gt id: predicted id} in ascending GT id: the vote over the
-    matched frames at MAPPING_ALPHA. The aggregate HOTA is the mean of the
-    per-threshold sqrt(DetA * AssA) values, not the sqrt of the means."""
-    scenario = _Scenario(gt_tracks, pred_tracks, ALPHAS)
-    components, per_alpha = _hota_components(scenario)
+def hota_sweep(gt_tracks, pred_tracks) -> HotaSweep:
+    """The sweep over `ALPHAS`: the identity map is the vote over the
+    matched frames at MAPPING_ALPHA, and the aggregate HOTA the mean of the
+    per-threshold sqrt(DetA * AssA) values, not the sqrt of the means. A
+    track id given twice on either side raises ValueError."""
+    scenario = _Scenario(gt_tracks, pred_tracks)
+    matchings = scenario.sweep()
+    per_alpha = []
+    for i, matching in enumerate(matchings):
+        # No caller mutates a `ratios` dict, so equal matchings share one.
+        per_alpha.append(per_alpha[-1] if i and matching == matchings[i - 1]
+                         else scenario.ratios(matching))
     tpa = per_alpha[ALPHAS.index(MAPPING_ALPHA)]["tpa"]
     # Ascending GT id, then most matched frames, then ascending predicted
     # id: the first pair of each GT id is its vote's winner.
     id_map: dict[int, int] = {}
     for gid, pid in sorted(tpa, key=lambda p: (p[0], -tpa[p], p[1])):
         id_map.setdefault(gid, pid)
-    return components, id_map
+    return HotaSweep(_reduce(scenario, matchings, per_alpha), id_map,
+                     scenario, matchings, per_alpha)
 
 
 def restrict_track(track: Track, segments) -> Track:

@@ -7,22 +7,10 @@ import random
 
 from svageval.cli import EXIT_OK, main
 from svageval.model import ScoredSegment, TemporalSegment
-from svageval.pipeline import evaluate_datasets
 from svageval.report import m_hiou
-from svageval.spatial import (
-    ALPHAS,
-    hota_at_alpha,
-    hota_sweep,
-)
-from svageval.synth import (
-    ScenarioSpec,
-    generate,
-    oracle_hota,
-    oracle_temporal,
-    write_split,
-)
+from svageval.spatial import ALPHAS, hota_sweep
+from svageval.synth import oracle_hota, oracle_temporal, write_split
 from svageval.temporal import TemporalPair, evaluate_temporal
-from svageval.ingest import DatasetSplit
 from svageval._util import format_fixed
 
 from conftest import generate_count_bundle, random_pairs, random_tracks
@@ -118,7 +106,8 @@ def test_criterion_4_hota_oracle_equivalence():
     with criterion(4, "hota_sweep equals the exhaustive oracle exactly on "
                       "1000 random scenarios"):
         for gt, pred in _spatial_scenarios(1000, seed=44):
-            assert hota_sweep(gt, pred)[0] == oracle_hota(gt, pred), (gt, pred)
+            assert (hota_sweep(gt, pred).components
+                    == oracle_hota(gt, pred)), (gt, pred)
 
 
 def test_criterion_5_temporal_oracle_equivalence():
@@ -156,8 +145,9 @@ def test_criterion_7_per_alpha_identity():
     with criterion(7, "HOTA_a^2 equals DetA_a * AssA_a within 1e-9 at every "
                       "threshold on all fuzz inputs"):
         for gt, pred in _spatial_scenarios(200, seed=77):
+            sweep = hota_sweep(gt, pred)
             for alpha in ALPHAS:
-                c = hota_at_alpha(gt, pred, alpha)
+                c = sweep.at(alpha)[0]
                 assert abs(c.hota ** 2 - c.det_a * c.ass_a) <= 1e-9
 
 

@@ -159,6 +159,24 @@ class TestEvaluate:
         assert main(args) == EXIT_IO
         assert f"{path}:byte " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["gt/ovis/video0001/queries.json",
+                                      "pred/ovis/video0001/q001/"
+                                      "pred_temporal.json"])
+    def test_duplicate_key_exits_one_naming_the_file(self, tmp_path, capsys,
+                                                     name):
+        """A JSON key given twice is refused, not read as its last value."""
+        data = _synth(tmp_path)
+        path = data / name
+        text = json.dumps(json.loads(path.read_text()))
+        path.write_text(text.replace('"segments": ',
+                                     '"segments": [], "segments": ', 1))
+        code = main(["evaluate", "--gt", str(data / "gt"),
+                     "--pred", str(data / "pred"), "--datasets", "ovis",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_IO
+        assert (f"error: {path}: invalid JSON: duplicate key 'segments'"
+                in capsys.readouterr().err)
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no int-to-str digit limit")
     def test_overlong_integer_exits_one_naming_the_file(self, tmp_path,

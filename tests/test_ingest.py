@@ -154,6 +154,17 @@ class TestParseQueryJson:
         with pytest.raises(IngestError, match=r"queries\[0\]"):
             parse_query_json(path)
 
+    def test_duplicate_key_refused(self, tmp_path):
+        """A key given twice is refused, naming the key, instead of the last
+        one being scored."""
+        path = tmp_path / "queries.json"
+        path.write_text('{"video_id": "v1", "queries": [{"query_id": "q1", '
+                        '"text": "t", "referents": [{"track_id": 4, '
+                        '"segments": [[1, 2]], "segments": [[2, 2]]}]}]}')
+        with pytest.raises(IngestError, match=(
+                r"queries.json: invalid JSON: duplicate key 'segments'$")):
+            parse_query_json(path)
+
     def test_top_level_array_located(self, tmp_path):
         path = _write_queries(tmp_path, [{"video_id": "v1", "queries": []}])
         with pytest.raises(IngestError, match=(
@@ -204,6 +215,16 @@ class TestParsePredictionBundle:
             {"query_id": "q1", "video_id": "v1", "tracks": [entry, entry]})
         with pytest.raises(IngestError, match=(
                 r"\$\.tracks\[1\]: duplicate temporal entry for track 5$")):
+            parse_prediction_bundle(csv_path, json_path)
+
+    def test_duplicate_key_refused(self, tmp_path):
+        csv_path, json_path = self._write(tmp_path, "1,5,10,20,30,40,1.0\n",
+                                          {})
+        json_path.write_text('{"query_id": "q1", "video_id": "v1", '
+                             '"query_id": "q2", "tracks": []}')
+        with pytest.raises(IngestError, match=(
+                r"pred_temporal.json: invalid JSON: duplicate key "
+                r"'query_id'$")):
             parse_prediction_bundle(csv_path, json_path)
 
     def test_huge_integer_score_located(self, tmp_path):

@@ -6,10 +6,8 @@ agreement with brute-force oracles, the per-threshold geometric-mean
 identity, bounds, determinism, and input-order invariance.
 """
 import dataclasses
-import math
 import random
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from svageval.ingest import VideoGroundTruth
@@ -24,15 +22,7 @@ from svageval.model import (
     Track,
 )
 from svageval.pipeline import evaluate_query
-from svageval.spatial import (
-    ALPHAS,
-    MAPPING_ALPHA,
-    AlphaMatchResult,
-    FrameMatch,
-    hota_at_alpha,
-    hota_sweep,
-    match_at_alpha,
-)
+from svageval.spatial import ALPHAS, MAPPING_ALPHA, FrameMatch, hota_sweep
 from svageval.synth import oracle_hota, oracle_temporal
 from svageval.temporal import evaluate_temporal, nms
 
@@ -50,7 +40,7 @@ class TestEngineMatchesOracle:
         rng = random.Random(2024)
         for _ in range(150):
             gt, pred = _scenario(rng)
-            assert hota_sweep(gt, pred)[0] == oracle_hota(gt, pred)
+            assert hota_sweep(gt, pred).components == oracle_hota(gt, pred)
 
     @settings(max_examples=60, deadline=None)
     @given(float_scenarios())
@@ -58,7 +48,7 @@ class TestEngineMatchesOracle:
         """Two-decimal floats, ints and extreme exponents, all scaled by one
         power of two per query, give the oracle's exact components."""
         gt, pred = scenario
-        assert hota_sweep(gt, pred)[0] == oracle_hota(gt, pred)
+        assert hota_sweep(gt, pred).components == oracle_hota(gt, pred)
 
     def test_temporal_exact(self):
         rng = random.Random(2025)
@@ -72,8 +62,9 @@ class TestHotaIdentity:
         rng = random.Random(7)
         for _ in range(50):
             gt, pred = _scenario(rng)
+            sweep = hota_sweep(gt, pred)
             for alpha in ALPHAS:
-                c = hota_at_alpha(gt, pred, alpha)
+                c = sweep.at(alpha)[0]
                 assert abs(c.hota ** 2 - c.det_a * c.ass_a) <= 1e-9
 
 
@@ -82,7 +73,7 @@ class TestBoundsAndDeterminism:
         rng = random.Random(13)
         for _ in range(100):
             gt, pred = _scenario(rng)
-            c = hota_sweep(gt, pred)[0]
+            c = hota_sweep(gt, pred).components
             for name in ("hota", "det_a", "ass_a", "det_re", "det_pr",
                          "ass_re", "ass_pr", "loc_a"):
                 assert 0.0 <= getattr(c, name) <= 1.0
@@ -91,7 +82,7 @@ class TestBoundsAndDeterminism:
         rng = random.Random(17)
         for _ in range(30):
             gt, pred = _scenario(rng)
-            assert hota_sweep(gt, pred)[0] == hota_sweep(gt, pred)[0]
+            assert hota_sweep(gt, pred) == hota_sweep(gt, pred)
 
     def test_track_order_irrelevant(self):
         rng = random.Random(19)
@@ -101,8 +92,8 @@ class TestBoundsAndDeterminism:
             shuffled_pred = list(pred)
             rng.shuffle(shuffled_gt)
             rng.shuffle(shuffled_pred)
-            assert hota_sweep(gt, pred)[0] == hota_sweep(
-                shuffled_gt, shuffled_pred)[0]
+            assert (hota_sweep(gt, pred).components
+                    == hota_sweep(shuffled_gt, shuffled_pred).components)
 
 
 def _increasing_map(data, ids):
@@ -163,18 +154,16 @@ class TestIdRenaming:
         pred_map = _increasing_map(data, [t.track_id for t in pred])
         renamed_gt = _renamed(gt, gt_map)
         renamed_pred = _renamed(pred, pred_map)
-        components, id_map = hota_sweep(gt, pred)
-        renamed, renamed_map = hota_sweep(renamed_gt, renamed_pred)
-        assert renamed == components
-        assert list(renamed_map.items()) == [
-            (gt_map[g], pred_map[p]) for g, p in id_map.items()]
-        match_05 = match_at_alpha(gt, pred, MAPPING_ALPHA)
-        expected = AlphaMatchResult(MAPPING_ALPHA, tuple(
+        sweep = hota_sweep(gt, pred)
+        renamed = hota_sweep(renamed_gt, renamed_pred)
+        assert renamed.components == sweep.components
+        assert list(renamed.id_map.items()) == [
+            (gt_map[g], pred_map[p]) for g, p in sweep.id_map.items()]
+        expected = tuple(
             FrameMatch(fm.frame, tuple((gt_map[g], pred_map[p], iou)
                                        for g, p, iou in fm.matches))
-            for fm in match_05.frames))
-        assert match_at_alpha(renamed_gt, renamed_pred,
-                              MAPPING_ALPHA) == expected
+            for fm in sweep.at(MAPPING_ALPHA)[1])
+        assert renamed.at(MAPPING_ALPHA)[1] == expected
 
 
     @settings(max_examples=100, deadline=None)
@@ -236,8 +225,8 @@ class TestStructuralMonotonicity:
                 continue
             extra = Track(99, (Detection(1, 99, BoundingBox(
                 500, 500, 5, 5)),))
-            base = hota_sweep(gt, pred)[0]
-            worse = hota_sweep(gt, pred + [extra])[0]
+            base = hota_sweep(gt, pred).components
+            worse = hota_sweep(gt, pred + [extra]).components
             assert worse.det_a <= base.det_a
             assert worse.det_pr <= base.det_pr
             assert worse.fp > base.fp
@@ -249,7 +238,7 @@ class TestStructuralMonotonicity:
             if not gt:
                 continue
             pred = [Track(t.track_id, t.detections) for t in gt]
-            c = hota_sweep(gt, pred)[0]
+            c = hota_sweep(gt, pred).components
             assert c.hota == 1.0 and c.loc_a == 1.0
 
 

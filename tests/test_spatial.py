@@ -10,15 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from svageval import spatial, synth
 from svageval.model import (BoundingBox, Detection, PredictionSet, Query,
-                            Referent, TemporalSegment, Track,
-                            ValidationError)
+                            Referent, TemporalSegment, Track)
 from svageval.pipeline import _duplicate_winners, evaluate_query
 from svageval.spatial import (
     ALPHAS,
     MAPPING_ALPHA,
-    hota_at_alpha,
     hota_sweep,
-    match_at_alpha,
     mean_components,
     restrict_track,
 )
@@ -33,11 +30,10 @@ from conftest import (constant_track, float_scenarios, make_track,
 def _table_iou(a, b):
     """The exact IoU of two boxes, from the (inter, union) that a
     `_Scenario` table holds for a one-box GT and a one-box predicted track.
-    Its one threshold is below any positive IoU of the boxes here, so a
-    pair missing from the table has no overlap."""
+    Every positive IoU of the boxes here reaches ALPHAS[0], so a pair
+    missing from the table has no overlap."""
     table = spatial._Scenario([constant_track(1, a, [1])],
-                              [constant_track(1, b, [1])],
-                              (Fraction(1, 2 ** 64),)).iou[1]
+                              [constant_track(1, b, [1])]).iou[1]
     inter, union = table.get((1, 1), (0, 1))[:2]
     return Fraction(inter, union)
 
@@ -95,21 +91,21 @@ def _id_switch_scenario():
 class TestHotaPerfect:
     def test_all_ones(self, unit_box):
         gt, pred = _perfect_pair(unit_box)
-        c = hota_sweep(gt, pred)[0]
+        c = hota_sweep(gt, pred).components
         assert c.hota == 1.0
         assert c.det_a == c.ass_a == c.loc_a == 1.0
         assert c.det_re == c.det_pr == c.ass_re == c.ass_pr == 1.0
         assert c.tp == 4.0 and c.fn == 0.0 and c.fp == 0.0
 
     def test_empty_both_sides_vacuously_perfect(self):
-        c = hota_sweep([], [])[0]
+        c = hota_sweep([], []).components
         assert c.hota == 1.0
         assert c.det_a == c.ass_a == c.loc_a == 1.0
         assert c.tp == 0.0
 
     def test_no_predictions(self, unit_box):
         gt, _ = _perfect_pair(unit_box)
-        c = hota_sweep(gt, [])[0]
+        c = hota_sweep(gt, []).components
         assert c.hota == 0.0
         assert c.det_a == 0.0
         assert c.ass_a == 0.0 and c.loc_a == 0.0
@@ -117,7 +113,7 @@ class TestHotaPerfect:
 
     def test_no_gt_all_false_positives(self, unit_box):
         _, pred = _perfect_pair(unit_box)
-        c = hota_sweep([], pred)[0]
+        c = hota_sweep([], pred).components
         assert c.hota == 0.0
         assert c.fp == 4.0
 
@@ -129,7 +125,7 @@ class TestIdSwitch:
 
     def test_sweep_components(self):
         gt, pred = _id_switch_scenario()
-        c = hota_sweep(gt, pred)[0]
+        c = hota_sweep(gt, pred).components
         assert c.hota == 0.577350269189626
         assert c.det_a == 1.0
         assert c.ass_a == pytest.approx(1 / 3, abs=0)
@@ -140,7 +136,7 @@ class TestIdSwitch:
 
     def test_single_alpha(self):
         gt, pred = _id_switch_scenario()
-        c = hota_at_alpha(gt, pred, Fraction(1, 2))
+        c = hota_sweep(gt, pred).at(Fraction(1, 2))[0]
         assert c.hota == 0.5773502691896257
         assert c.tp == 8 and c.fn == 0 and c.fp == 0
         assert c.hota == math.sqrt(c.det_a * c.ass_a)
@@ -153,7 +149,7 @@ class TestPartialLocalization:
     def test_sweep(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 4))]
         pred = [constant_track(1, BoundingBox(0, 0, 10, 20), range(1, 4))]
-        c = hota_sweep(gt, pred)[0]
+        c = hota_sweep(gt, pred).components
         expected = 10 / 19
         assert c.det_a == 0.5263157894736842
         assert c.ass_a == expected and c.det_re == expected
@@ -174,47 +170,44 @@ class TestMatching:
         gt = [constant_track(1, box, range(1, 5))]
         pred = [make_track(1, [(1, near)]),
                 make_track(2, [(1, near), (2, box), (3, box), (4, box)])]
-        alpha = Fraction(1, 2)
-        match = match_at_alpha(gt, pred, alpha)
-        assert [m[:2] for m in match.frames[0].matches] == [(1, 2)]
+        frames = hota_sweep(gt, pred).at(Fraction(1, 2))[1]
+        assert [m[:2] for m in frames[0].matches] == [(1, 2)]
 
     def test_tie_breaks_to_ascending_ids(self):
         """Fully symmetric two-by-two frame: ids decide."""
         box = BoundingBox(0, 0, 10, 10)
         gt = [make_track(1, [(1, box)]), make_track(2, [(1, box)])]
         pred = [make_track(3, [(1, box)]), make_track(4, [(1, box)])]
-        alpha = Fraction(1, 2)
-        match = match_at_alpha(gt, pred, alpha)
-        assert [(g, p) for g, p, _ in match.frames[0].matches] == [
-            (1, 3), (2, 4)]
+        frames = hota_sweep(gt, pred).at(Fraction(1, 2))[1]
+        assert [(g, p) for g, p, _ in frames[0].matches] == [(1, 3), (2, 4)]
 
     def test_threshold_is_inclusive(self, unit_box):
         gt = [make_track(1, [(1, unit_box)])]
         pred = [make_track(1, [(1, BoundingBox(0, 0, 10, 20))])]  # IoU = 1/2
-        match = match_at_alpha(gt, pred, Fraction(1, 2))
-        assert len(match.frames[0].matches) == 1
+        frames = hota_sweep(gt, pred).at(Fraction(1, 2))[1]
+        assert len(frames[0].matches) == 1
 
     def test_float_alpha_is_its_decimal(self, unit_box):
         """0.05 is 1/20, not the binary float just above it: an IoU of
         exactly 1/20 is matched."""
         gt = [make_track(1, [(1, unit_box)])]
         pred = [make_track(1, [(1, BoundingBox(0, 0, 10, 200))])]  # 1/20
+        sweep = hota_sweep(gt, pred)
         for alpha in (0.05, Fraction(1, 20)):
-            match = match_at_alpha(gt, pred, alpha)
-            assert len(match.frames[0].matches) == 1
+            assert len(sweep.at(alpha)[1][0].matches) == 1
 
-    @pytest.mark.parametrize("alpha", [0, 1, -0.5, 1.5])
+    @pytest.mark.parametrize("alpha", [0, 1, -0.5, 1.5, 0.33, 0.1 + 0.2])
     def test_alpha_domain(self, alpha, unit_box):
+        """A threshold is one of ALPHAS, read as its decimal: anything else
+        is refused, however close."""
         gt = [make_track(1, [(1, unit_box)])]
         pred = [make_track(1, [(1, BoundingBox(0, 0, 10, 200))])]  # 1/20
-        with pytest.raises(ValueError):
-            match_at_alpha(gt, gt, alpha)
-        with pytest.raises(ValueError):
-            hota_at_alpha(gt, gt, alpha)
+        sweep = hota_sweep(gt, pred)
+        with pytest.raises(ValueError, match="is not one of ALPHAS"):
+            sweep.at(alpha)
         # A float 0.05 is 1/20: the IoU of exactly 1/20 is a TP at both.
-        assert (hota_at_alpha(gt, pred, 0.05)
-                == hota_at_alpha(gt, pred, Fraction(1, 20)))
-        assert hota_at_alpha(gt, pred, 0.05).tp == 1
+        assert sweep.at(0.05) == sweep.at(Fraction(1, 20))
+        assert sweep.at(0.05)[0].tp == 1
 
     def test_matching_maximizes_cardinality_over_alignment(self):
         """A greedy best-alignment-first pairing would match (1, 1) and
@@ -226,9 +219,8 @@ class TestMatching:
               make_track(2, [(1, box_b)])]
         pred = [make_track(1, [(1, box_b), (2, box_a)]),
                 make_track(2, [(1, shift_a)])]
-        alpha = Fraction(1, 2)
-        match = match_at_alpha(gt, pred, alpha)
-        assert len(match.frames[0].matches) == 2
+        frames = hota_sweep(gt, pred).at(Fraction(1, 2))[1]
+        assert len(frames[0].matches) == 2
 
 
 class TestRestrictTrack:
@@ -247,8 +239,8 @@ class TestRestrictTrack:
 class TestMeanComponents:
     def test_counts_sum_ratios_average(self, unit_box):
         gt, pred = _perfect_pair(unit_box)
-        perfect = hota_sweep(gt, pred)[0]
-        miss = hota_sweep(gt, [])[0]
+        perfect = hota_sweep(gt, pred).components
+        miss = hota_sweep(gt, []).components
         mean = mean_components([perfect, miss])
         assert mean.hota == 0.5
         assert mean.det_a == 0.5
@@ -268,13 +260,14 @@ class TestSweepDecomposition:
         for _ in range(40):
             gt = random_tracks(rng, 3, 6, id_base=1)
             pred = random_tracks(rng, 3, 6, id_base=1)
-            sweep = hota_sweep(gt, pred)[0]
-            per_alpha = []
-            for alpha in ALPHAS:
-                c = hota_at_alpha(gt, pred, alpha)
-                per_alpha.append(c)
+            result = hota_sweep(gt, pred)
+            sweep = result.components
+            per_alpha = [result.at(alpha)[0] for alpha in ALPHAS]
             expected = sum(c.hota for c in per_alpha) / len(ALPHAS)
             assert sweep.hota == expected
+            for name in ("tp", "fn", "fp"):
+                assert getattr(sweep, name) == sum(
+                    getattr(c, name) for c in per_alpha) / len(ALPHAS)
             naive = math.sqrt(sweep.det_a * sweep.ass_a)
             if abs(naive - sweep.hota) > 1e-9:
                 saw_gap = True
@@ -308,19 +301,19 @@ class TestIdentityVote:
         pred = [make_track(7, [(1, unit_box), (2, unit_box), (3, unit_box),
                                (4, far), (5, far)]),
                 make_track(8, [(4, unit_box), (5, unit_box)])]
-        assert hota_sweep(gt, pred)[1] == {1: 7}
+        assert hota_sweep(gt, pred).id_map == {1: 7}
 
     def test_vote_tie_goes_to_smaller_pred_id(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 5))]
         pred = [make_track(9, [(1, unit_box), (2, unit_box)]),
                 make_track(4, [(3, unit_box), (4, unit_box)])]
-        assert hota_sweep(gt, pred)[1] == {1: 4}
+        assert hota_sweep(gt, pred).id_map == {1: 4}
 
     def test_unmatched_gt_stays_unmapped(self, unit_box):
         gt = [constant_track(1, unit_box, range(1, 3)),
               constant_track(2, BoundingBox(50, 50, 5, 5), range(1, 3))]
         pred = [constant_track(1, unit_box, range(1, 3))]
-        assert hota_sweep(gt, pred)[1] == {1: 1}
+        assert hota_sweep(gt, pred).id_map == {1: 1}
 
     def test_not_globally_one_to_one(self, unit_box):
         """One predicted track can win the vote for several GT ids; that is
@@ -329,7 +322,7 @@ class TestIdentityVote:
         gt = [make_track(1, [(1, unit_box), (2, unit_box)]),
               make_track(2, [(3, near), (4, near)])]
         pred = [constant_track(5, unit_box, range(1, 5))]
-        id_map = hota_sweep(gt, pred)[1]
+        id_map = hota_sweep(gt, pred).id_map
         assert id_map == {1: 5, 2: 5}
         query = Query("q", "v", "", (Referent(1, (TemporalSegment(1, 2),)),
                                      Referent(2, (TemporalSegment(3, 4),))))
@@ -338,16 +331,17 @@ class TestIdentityVote:
 
     def test_map_is_the_vote_over_the_mapping_match(self):
         """On random GT tracks each predicted as two ids, one before and
-        one after a random frame, the map is the vote over the matching
-        ``match_at_alpha`` gives at MAPPING_ALPHA: most matched frames,
-        then the smaller predicted id, in ascending GT id."""
+        one after a random frame, the map is the vote over the sweep's
+        matching at MAPPING_ALPHA: most matched frames, then the smaller
+        predicted id, in ascending GT id."""
         rng = random.Random(5)
         contested = tied = False
         for _ in range(60):
             gt = random_tracks(rng, 3, 6, id_base=1)
             pred = _cut_in_two(rng, gt)
+            sweep = hota_sweep(gt, pred)
             votes = {}
-            for fm in match_at_alpha(gt, pred, MAPPING_ALPHA).frames:
+            for fm in sweep.at(MAPPING_ALPHA)[1]:
                 for gid, pid, _ in fm.matches:
                     tally = votes.setdefault(gid, {})
                     tally[pid] = tally.get(pid, 0) + 1
@@ -358,29 +352,24 @@ class TestIdentityVote:
                 counts = sorted(tally.values(), reverse=True)
                 contested |= len(counts) > 1
                 tied |= len(counts) > 1 and counts[0] == counts[1]
-            id_map = hota_sweep(gt, pred)[1]
-            assert list(id_map.items()) == list(expected.items())
+            assert list(sweep.id_map.items()) == list(expected.items())
         assert contested and tied
 
 
 class TestOnePass:
     @staticmethod
     def _count(monkeypatch):
-        """Record the thresholds of every scenario built and the number of
-        `sweep` calls."""
-        calls = {"init": [], "sweep": 0}
-        init, sweep = spatial._Scenario.__init__, spatial._Scenario.sweep
+        """Count the scenarios built and their `sweep` and `ratios`
+        calls."""
+        calls = {"__init__": 0, "sweep": 0, "ratios": 0}
+        for name in calls:
+            method = getattr(spatial._Scenario, name)
 
-        def counting_init(self, gt, pred, alphas):
-            calls["init"].append(tuple(alphas))
-            init(self, gt, pred, alphas)
+            def counting(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
 
-        def counting_sweep(self):
-            calls["sweep"] += 1
-            return sweep(self)
-
-        monkeypatch.setattr(spatial._Scenario, "__init__", counting_init)
-        monkeypatch.setattr(spatial._Scenario, "sweep", counting_sweep)
+            monkeypatch.setattr(spatial._Scenario, name, counting)
         return calls
 
     def test_query_builds_one_scenario_and_sweeps_it_once(self, monkeypatch):
@@ -388,15 +377,16 @@ class TestOnePass:
         bundle, predictions = generate(ScenarioSpec(seed=4, queries=1))
         video = bundle.videos[predictions[0].video_id]
         evaluate_query(video, video.queries[0], predictions[0])
-        assert calls == {"init": [ALPHAS], "sweep": 1}
+        assert calls["__init__"] == calls["sweep"] == 1
 
-    @pytest.mark.parametrize("scorer", (hota_at_alpha, match_at_alpha))
-    def test_one_threshold_is_one_scenario_over_it(self, monkeypatch,
-                                                   scorer):
+    def test_thresholds_are_read_from_the_sweep(self, monkeypatch):
+        """Every threshold's result comes from the sweep already made: no
+        scenario is built, matched or reduced again."""
+        sweep = hota_sweep(*_id_switch_scenario())
         calls = self._count(monkeypatch)
-        rng = random.Random(2)
-        scorer(random_tracks(rng, 3, 5, 1), random_tracks(rng, 3, 5, 1), 0.3)
-        assert calls == {"init": [(Fraction(3, 10),)], "sweep": 1}
+        per_alpha = [sweep.at(alpha) for alpha in ALPHAS]
+        assert calls == {"__init__": 0, "sweep": 0, "ratios": 0}
+        assert [c.tp for c, _ in per_alpha] == [8] * len(ALPHAS)
 
     def test_equal_matchings_are_reduced_once(self, monkeypatch):
         """`ratios` runs once per threshold whose matching differs from the
@@ -405,7 +395,7 @@ class TestOnePass:
         gt.append(constant_track(3, BoundingBox(100, 0, 10, 10), range(1, 5)))
         pred.append(constant_track(3, BoundingBox(102, 0, 10, 10),
                                    range(1, 5)))
-        matchings = spatial._Scenario(gt, pred, ALPHAS).sweep()
+        matchings = spatial._Scenario(gt, pred).sweep()
         distinct = 1 + sum(a != b for a, b in zip(matchings, matchings[1:]))
         assert 1 < distinct < len(ALPHAS)
         expected = hota_sweep(gt, pred)
@@ -422,8 +412,7 @@ class TestOnePass:
 
 
 class TestLevels:
-    """Each pair's IoU is tested against the thresholds once, as a level;
-    a single threshold is the sweep's scenario limited to it."""
+    """Each pair's IoU is tested against the thresholds once, as a level."""
 
     @settings(max_examples=100, deadline=None)
     @given(float_scenarios())
@@ -432,7 +421,7 @@ class TestLevels:
         IoU reaches, no table holds a pair below ALPHAS[0], and each track
         pair's count at i is its frames whose IoU reaches ALPHAS[i]."""
         gt, pred = scenario
-        table = spatial._Scenario(gt, pred, ALPHAS)
+        table = spatial._Scenario(gt, pred)
         for g in gt:
             for p in pred:
                 boxes = {det.frame: det.box for det in p.detections}
@@ -450,20 +439,6 @@ class TestLevels:
                     for i in range(len(ALPHAS))]
         assert all(entry[4] >= 1 for entries in table.iou.values()
                    for entry in entries.values())
-
-    @settings(max_examples=60, deadline=None)
-    @given(float_scenarios())
-    def test_single_threshold_is_the_sweep_limited_to_it(self, scenario):
-        gt, pred = scenario
-        table = spatial._Scenario(gt, pred, ALPHAS)
-        for alpha, matching in zip(ALPHAS, table.sweep()):
-            single = match_at_alpha(gt, pred, alpha)
-            assert [(fm.frame, [(g, p) for g, p, _ in fm.matches])
-                    for fm in single.frames] == matching
-            values = table.ratios(matching)
-            components = hota_at_alpha(gt, pred, alpha)
-            assert ((components.tp, components.fn, components.fp)
-                    == (values["tp"], values["fn"], values["fp"]))
 
 
 def _optimal_pairs(feasible, iou_table, alignment):
@@ -500,7 +475,7 @@ def _solve_each_threshold(table):
                 {pair: (hits[i], table.span[pair])
                  for pair, hits in table.counts.items()}))
              for frame, iou in table.iou.items()]
-            for i in range(len(table.alphas))]
+            for i in range(len(ALPHAS))]
 
 
 @st.composite
@@ -560,19 +535,19 @@ class TestSweep:
     @settings(max_examples=100, deadline=None)
     @given(float_scenarios())
     def test_float_scenarios(self, scenario):
-        table = spatial._Scenario(*scenario, ALPHAS)
+        table = spatial._Scenario(*scenario)
         assert table.sweep() == _solve_each_threshold(table)
 
     @settings(max_examples=100, deadline=None)
     @given(_lane_clips())
     def test_mostly_conflict_free_clips(self, scenario):
-        table = spatial._Scenario(*scenario, ALPHAS)
+        table = spatial._Scenario(*scenario)
         assert table.sweep() == _solve_each_threshold(table)
 
     @settings(max_examples=100, deadline=None)
     @given(_splitting_crowds())
     def test_components_that_split(self, scenario):
-        table = spatial._Scenario(*scenario, ALPHAS)
+        table = spatial._Scenario(*scenario)
         assert table.sweep() == _solve_each_threshold(table)
         split = ALPHAS.index(Fraction(3, 5))
         for iou in table.iou.values():
@@ -591,7 +566,7 @@ class TestSweep:
         pred = [make_track(1, [(1, unit_box), (2, BoundingBox(0, 0, 10, 9))]),
                 make_track(2, [(1, unit_box), (2, BoundingBox(0, 0, 10, 3)),
                                (3, BoundingBox(0, 0, 10, 3))])]
-        table = spatial._Scenario(gt, pred, ALPHAS)
+        table = spatial._Scenario(gt, pred)
         matchings = table.sweep()
         assert matchings == _solve_each_threshold(table)
         first = [dict(matching)[1] for matching in matchings]
@@ -605,7 +580,7 @@ class TestSweep:
         (frame, sorted pairs, their counts) state, and no other is; the
         union-find of `_components` runs only inside such a solve, for its
         doubtful pairs."""
-        table = spatial._Scenario(*scenario, ALPHAS)
+        table = spatial._Scenario(*scenario)
         states = set()
         for frame, iou in table.iou.items():
             for i in range(len(ALPHAS)):
@@ -651,27 +626,21 @@ class TestRepeatedTrackId:
     """Two tracks with one id on either side are refused, naming the id;
     scored, they gave a result that depended on their order."""
 
-    _SCORERS = (hota_sweep,
-                lambda gt, pred: hota_at_alpha(gt, pred, MAPPING_ALPHA),
-                lambda gt, pred: match_at_alpha(gt, pred, MAPPING_ALPHA))
-
     @staticmethod
     def _tracks():
         box = BoundingBox(0, 0, 10, 10)
         return constant_track(1, box, (1, 2)), constant_track(1, box, (2, 3))
 
-    @pytest.mark.parametrize("scorer", _SCORERS)
-    def test_gt_side(self, scorer):
+    def test_gt_side(self):
         t1, t1b = self._tracks()
         with pytest.raises(ValueError, match="track id 1 is given twice"):
-            scorer([t1, t1b], [t1])
+            hota_sweep([t1, t1b], [t1])
 
-    @pytest.mark.parametrize("scorer", _SCORERS)
-    def test_predicted_side(self, scorer):
+    def test_predicted_side(self):
         t1, t1b = self._tracks()
         for pred in ([t1, t1b], [t1b, t1]):
             with pytest.raises(ValueError, match="track id 1 is given twice"):
-                scorer([t1], pred)
+                hota_sweep([t1], pred)
 
     def test_query_with_a_repeated_predicted_track(self):
         bundle, predictions = generate(ScenarioSpec(seed=4, queries=1))
@@ -850,11 +819,11 @@ class TestAssignment:
         assert max(max(size) for size in sizes) <= 3
 
 
-def _exact_sweep_loc_a(gt, pred):
+def _exact_sweep_loc_a(sweep):
     """LocA of the sweep from the matched IoUs summed as Fractions."""
     total = Fraction(0)
     for alpha in ALPHAS:
-        ious = [iou for fm in match_at_alpha(gt, pred, alpha).frames
+        ious = [iou for fm in sweep.at(alpha)[1]
                 for _, _, iou in fm.matches]
         if ious:
             total += sum(ious, Fraction(0)) / len(ious)
@@ -887,14 +856,15 @@ class TestBoundedLocA:
                 constant_track(2, BoundingBox(1.25, 21, 7, 7), frames[1:])]
         calls = self._count_fallbacks(monkeypatch)
         sweep = hota_sweep(gt, pred)
-        single = hota_at_alpha(gt, pred, Fraction(1, 5))
+        single = sweep.at(Fraction(1, 5))[0]
         assert calls == []
         monkeypatch.setattr(spatial, "_LOC_BITS", bits)
-        assert hota_sweep(gt, pred) == sweep
-        assert hota_at_alpha(gt, pred, Fraction(1, 5)) == single
+        bounded = hota_sweep(gt, pred)
+        assert bounded == sweep
+        assert bounded.at(Fraction(1, 5))[0] == single
         assert calls == [len(ALPHAS), 1]
-        assert sweep[0] == synth.oracle_hota(gt, pred)
-        assert sweep[0].loc_a == _exact_sweep_loc_a(gt, pred)
+        assert sweep.components == synth.oracle_hota(gt, pred)
+        assert sweep.components.loc_a == _exact_sweep_loc_a(sweep)
 
     def test_thresholds_build_no_fraction(self):
         """Building the table, and matching and reducing every threshold,
@@ -904,7 +874,7 @@ class TestBoundedLocA:
         hook = self._fraction_hook(built)
         sys.setprofile(hook)
         try:
-            table = spatial._Scenario(gt, pred, ALPHAS)
+            table = spatial._Scenario(gt, pred)
             matchings = table.sweep()
             per_alpha = [table.ratios(matching) for matching in matchings]
         finally:
@@ -927,7 +897,7 @@ class TestBoundedLocA:
         built = []
         sys.setprofile(self._fraction_hook(built))
         try:
-            _, id_map = hota_sweep(gt, pred)
+            id_map = hota_sweep(gt, pred).id_map
         finally:
             sys.setprofile(None)
         assert calls == []
@@ -963,8 +933,8 @@ class TestBoundedLocA:
         gt, pred = scenario
         assume(gt or pred)
         with mock.patch.object(spatial, "_LOC_BITS", bits):
-            table = spatial._Scenario(gt, pred, ALPHAS)
-            loc_a = hota_sweep(gt, pred)[0].loc_a
+            table = spatial._Scenario(gt, pred)
+            sweep = hota_sweep(gt, pred)
         for matching in table.sweep():
             ious = [Fraction(*table.iou[frame][pair][:2])
                     for frame, pairs in matching for pair in pairs]
@@ -974,4 +944,4 @@ class TestBoundedLocA:
             assert den == high_den == len(ious) << bits
             assert low <= sum(ious, Fraction(0)) * (1 << bits) <= high
             assert high - low <= len(ious)
-        assert loc_a == _exact_sweep_loc_a(gt, pred)
+        assert sweep.components.loc_a == _exact_sweep_loc_a(sweep)

@@ -82,7 +82,7 @@ class TestBuildTemporalPairs:
             Referent(1, (seg(1, 5),)),
             Referent(2, (seg(2, 3),)),
         ))
-        return hota_sweep(gt, list(pred_tracks))[1], preds, query
+        return hota_sweep(gt, list(pred_tracks)).id_map, preds, query
 
     def test_mapped_and_unmapped(self, unit_box):
         id_map, preds, query = self._fixtures(unit_box)
