@@ -151,8 +151,9 @@ def _unique_keys(pairs) -> dict:
     """A JSON object's members; a key given twice raises ValueError."""
     data = dict(pairs)
     if len(data) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+        seen = set()
+        dup = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"duplicate key {dup!r}")
     return data
 
 

@@ -33,7 +33,7 @@ denominator) pairs and counts each track pair's matched frames; a
 threshold whose matching equals the one below it shares that reduction.
 Each mean over thresholds is taken over one common denominator and
 converted by one int true division, which rounds correctly, so it is the
-float of the exact value. `HotaSweep.at` reduces one threshold's alone.
+float of the exact value. `HotaSweep.at` reduces one stored threshold alone.
 A `Fraction` IoU is built only for the matching `at` returns and in the
 exact LocA fallback.
 

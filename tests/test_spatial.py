@@ -28,14 +28,11 @@ from conftest import (constant_track, float_scenarios, make_track,
 
 
 def _table_iou(a, b):
-    """The exact IoU of two boxes, from the (inter, union) that a
-    `_Scenario` table holds for a one-box GT and a one-box predicted track.
-    Every positive IoU of the boxes here reaches ALPHAS[0], so a pair
-    missing from the table has no overlap."""
-    table = spatial._Scenario([constant_track(1, a, [1])],
-                              [constant_track(1, b, [1])]).iou[1]
-    inter, union = table.get((1, 1), (0, 1))[:2]
-    return Fraction(inter, union)
+    """The exact IoU of two boxes, from the integer boxes and overlap that
+    a `_Scenario` table is built from; any positive overlap shows."""
+    a_, b_ = (spatial._int_box(box, spatial._shift((a, b))) for box in (a, b))
+    inter = spatial._overlap(a_, b_)
+    return Fraction(inter, a_[4] + b_[4] - inter)
 
 
 class TestBoxIou:
