@@ -41,12 +41,5 @@ from .report import (
     write_report,
 )
 from .pipeline import evaluate_datasets, evaluate_query
-from .synth import (
-    ScenarioSpec,
-    generate,
-    oracle_hota,
-    oracle_temporal,
-    write_split,
-)
 
 __version__ = "0.1.0"

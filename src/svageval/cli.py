@@ -13,6 +13,7 @@ Diagnostics go to standard error; ``SVAGEVAL_LOG`` selects the log level
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -28,8 +29,7 @@ from .ingest import (
 from .model import ValidationError
 from .pipeline import evaluate_datasets
 from .report import report_to_dict, write_report
-from .synth import ScenarioSpec, generate, write_split
-from ._util import format_fixed
+from ._util import format_fixed, usable_cpus
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -62,7 +62,7 @@ def _parse_nms(value: str) -> float | None:
 
 def _parse_jobs(value: str) -> int:
     if value == "auto":
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
     try:
         jobs = int(value)
     except ValueError:
@@ -159,6 +159,9 @@ def cmd_evaluate(args) -> int:
     if errors:
         print(f"{len(errors)} validation error(s); aborting", file=sys.stderr)
         return EXIT_VALIDATION
+    # All that is alive now lives until exit: the collector's full passes,
+    # in this process and in forked workers, need not walk it again.
+    gc.freeze()
     final = evaluate_datasets(splits, args.nms, jobs=args.jobs)
     write_report(final, args.out)
     display = report_to_dict(final)["display"]["m_hiou"]
@@ -196,6 +199,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # Imported here, so that no other command loads the generator.
+    from .synth import ScenarioSpec, generate, write_split
     spec = ScenarioSpec(
         seed=args.seed,
         frames=args.frames,
@@ -215,6 +220,11 @@ def cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code. ``evaluate`` calls ``gc.freeze()`` once its input
+    is loaded and validated, so a caller that runs it in-process keeps
+    every object alive at that point out of the collector's reach, cycles
+    included, until it calls ``gc.unfreeze()``."""
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

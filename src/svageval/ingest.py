@@ -54,8 +54,13 @@ class IngestError(Exception):
     def __init__(self, path, location: str, message: str):
         self.path = str(path)
         self.location = location
+        self.message = message
         where = f"{self.path}:{location}" if location else self.path
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        # As ValidationError: rebuilt from its fields, not its text.
+        return type(self), (self.path, self.location, self.message)
 
 
 @dataclass(frozen=True)

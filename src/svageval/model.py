@@ -17,6 +17,12 @@ class ValidationError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.message = message
+
+    def __reduce__(self):
+        # pickle would call the class with the one formatted argument; a
+        # worker's error must reach the caller of the pool intact.
+        return type(self), (self.field, self.message)
 
 
 def _require(cond: bool, field_name: str, message: str) -> None:

@@ -14,8 +14,10 @@ diagnostic (a duplicate query id, an unresolved referent, a duplicate or
 orphan prediction set), so no such input is scored. ``evaluate_query``
 scores each (video, query) once, as a pure function over immutable inputs.
 The queries of all datasets share one worker pool of at most ``jobs``
-workers, and no more than there are queries or CPUs; with one worker they
-are scored in this process. Every reduction, the duplicate vote winners
+workers, and no more than there are videos or CPUs this process may run
+on; with one worker they are scored in this process. A worker's task is
+one video with all its queries, so each video is pickled once. Every
+reduction, the duplicate vote winners
 read from each query's temporal pairs included, happens in canonical
 (dataset, video_id, query position) order, so the report bytes and the log
 never depend on the worker count.
@@ -23,9 +25,9 @@ never depend on the worker count.
 from __future__ import annotations
 
 import logging
-import os
 from itertools import islice
 
+from ._util import usable_cpus
 from .ingest import DatasetSplit, VideoGroundTruth, validate_split
 from .model import HotaComponents, PredictionSet, Query
 from .report import DatasetReport, FinalReport, build_final_report
@@ -58,6 +60,13 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
     sweep = hota_sweep(gt_tracks, pred_tracks)
     return sweep.components, build_temporal_pairs(sweep.id_map, query,
                                                   predset)
+
+
+def _evaluate_video(video: VideoGroundTruth, items
+                    ) -> list[tuple[HotaComponents, list[TemporalPair]]]:
+    """``evaluate_query`` over one video's (query, prediction set or
+    None) items, in order: the task of one pool worker."""
+    return [evaluate_query(video, query, predset) for query, predset in items]
 
 
 def _duplicate_winners(pairs) -> dict[int, list[int]]:
@@ -110,15 +119,19 @@ def evaluate_datasets(splits, nms_threshold: float | None,
         if predset is None:
             log.warning("no predictions for %s/%s; query scores 0",
                         video.video_id, query.query_id)
-    workers = min(jobs, len(units), os.cpu_count() or 1)
+    groups = []  # (video, [(query, predset), ...]) in canonical order
+    for video, query, predset in units:
+        if not groups or groups[-1][0] is not video:
+            groups.append((video, []))
+        groups[-1][1].append((query, predset))
+    workers = min(jobs, len(groups), usable_cpus())
     if workers > 1:
         # Imported here: it loads multiprocessing, which one worker, the
         # set-up probe and library users never need.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                evaluate_query, *zip(*units),
-                chunksize=max(1, len(units) // (4 * workers))))
+            results = [result for video_results in pool.map(
+                _evaluate_video, *zip(*groups)) for result in video_results]
     else:
         results = [evaluate_query(*unit) for unit in units]
     results = iter(results)

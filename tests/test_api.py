@@ -10,14 +10,13 @@ PUBLIC_NAMES = [
     "ALPHAS", "BoundingBox", "DatasetReport", "DatasetSplit", "Detection",
     "Diagnostic", "FinalReport", "GroundTruthBundle", "HotaComponents",
     "HotaSweep", "IngestError", "PredictionSet", "Query", "Referent",
-    "ScenarioSpec", "ScoredSegment", "TemporalMetrics", "TemporalPair",
-    "TemporalSegment", "Track", "ValidationError", "VideoGroundTruth",
-    "build_final_report", "build_temporal_pairs", "compute_stats",
-    "cross_dataset_mean", "evaluate_datasets", "evaluate_query",
-    "evaluate_temporal", "generate", "hota_sweep", "load_split", "m_hiou",
-    "nms", "oracle_hota", "oracle_temporal", "parse_prediction_bundle",
+    "ScoredSegment", "TemporalMetrics", "TemporalPair", "TemporalSegment",
+    "Track", "ValidationError", "VideoGroundTruth", "build_final_report",
+    "build_temporal_pairs", "compute_stats", "cross_dataset_mean",
+    "evaluate_datasets", "evaluate_query", "evaluate_temporal", "hota_sweep",
+    "load_split", "m_hiou", "nms", "parse_prediction_bundle",
     "parse_query_json", "parse_track_csv", "temporal_iou", "validate_split",
-    "write_report", "write_split",
+    "write_report",
 ]
 
 ROOT = Path(__file__).resolve().parent.parent

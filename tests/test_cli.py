@@ -293,7 +293,7 @@ class TestEvaluate:
 
     def test_jobs_auto_uses_the_cpu_count(self, tmp_path, monkeypatch):
         data = _synth(tmp_path)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         seen = []
         evaluate = cli.evaluate_datasets
 

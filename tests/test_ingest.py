@@ -1,4 +1,5 @@
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -375,6 +376,18 @@ class TestLoadGroundTruth:
                 r"queries.json:\$\.video_id: video_id 'wrong' does not "
                 r"match directory 'video0001'$")):
             load_split(tmp_path / "gt", None, "ovis")
+
+
+class TestIngestError:
+    @pytest.mark.parametrize("location, text", [
+        ("line 3", "gt.txt:line 3: bad row"), ("", "gt.txt: bad row")])
+    def test_pickle_round_trip(self, location, text):
+        """The error survives pickling, as a worker process sends it."""
+        error = pickle.loads(pickle.dumps(
+            IngestError(Path("gt.txt"), location, "bad row")))
+        assert type(error) is IngestError
+        assert str(error) == text
+        assert (error.path, error.location) == ("gt.txt", location)
 
 
 class TestLoadRoundTrip:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from svageval.model import (
@@ -140,3 +142,12 @@ class TestTemporalMetrics:
         m = TemporalMetrics(r1, r5, r10, dict.fromkeys((0.1, 0.3, 0.5), 0.5),
                             miou=0.5)
         assert m.miou == 0.5
+
+
+class TestValidationError:
+    def test_pickle_round_trip(self):
+        """The error survives pickling, as a worker process sends it."""
+        error = pickle.loads(pickle.dumps(ValidationError("w", "must be > 0")))
+        assert type(error) is ValidationError
+        assert str(error) == "w: must be > 0"
+        assert error.field == "w"

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,17 +9,30 @@ from pathlib import Path
 import pytest
 
 import svageval
-from svageval import pipeline
-from svageval.ingest import DatasetSplit
-from svageval.model import Referent, TemporalSegment
+from svageval import _util, pipeline
+from svageval.ingest import DatasetSplit, GroundTruthBundle, VideoGroundTruth
+from svageval.model import Referent, TemporalSegment, ValidationError
 from svageval.pipeline import evaluate_datasets
 from svageval.synth import ScenarioSpec, generate
 from svageval.temporal import TemporalPair, nms
 
 
-def _split(name="synth", queries=4):
-    bundle, predictions = generate(ScenarioSpec(
-        seed=3, queries=queries, id_switch_prob=0.2, box_jitter=1.5))
+def _split(name="synth", queries=4, videos=1):
+    """A split of ``videos`` generated videos, ``video0001`` onwards, the
+    n-th from seed 2 + n, each with ``queries`` queries."""
+    bundle = GroundTruthBundle()
+    predictions = []
+    for index in range(videos):
+        generated, predsets = generate(ScenarioSpec(
+            seed=3 + index, queries=queries, id_switch_prob=0.2,
+            box_jitter=1.5))
+        (video,) = generated.videos.values()
+        video_id = f"video{index + 1:04d}"
+        bundle.videos[video_id] = VideoGroundTruth(
+            video_id, video.tracks,
+            [dataclasses.replace(q, video_id=video_id) for q in video.queries])
+        predictions += [dataclasses.replace(p, video_id=video_id)
+                        for p in predsets]
     return DatasetSplit(name, bundle, predictions)
 
 
@@ -116,8 +130,8 @@ class TestEvaluateSplit:
 
 
 def _inline_pools(monkeypatch, cpus):
-    """Make ``evaluate_datasets`` see ``cpus`` CPUs and map through an
-    in-process pool; returns the ``max_workers`` of each pool started."""
+    """Make ``evaluate_datasets`` see ``cpus`` usable CPUs and map through
+    an in-process pool; returns the ``max_workers`` of each pool started."""
     pools = []
 
     class InlinePool:
@@ -130,33 +144,43 @@ def _inline_pools(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
     # `evaluate_datasets` imports the pool class from here when it uses it.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
     return pools
 
 
+def _start_methods():
+    return [pytest.param(method, marks=pytest.mark.skipif(
+        method not in multiprocessing.get_all_start_methods(),
+        reason=f"no {method} start method here"))
+        for method in ("spawn", "forkserver")]
+
+
 class TestWorkerPool:
-    @pytest.mark.parametrize("cpus, queries, started", [
-        (8, 4, [4]), (3, 4, [3]), (1, 4, []), (None, 4, []), (8, 1, [])],
-        ids=["queries", "cpus", "one_cpu", "unknown_cpus", "one_query"])
-    def test_workers_capped_by_queries_and_cpus(self, monkeypatch, cpus,
-                                                queries, started):
-        """A huge ``jobs`` starts no more workers than there are queries
-        or CPUs, and no pool when that leaves one worker."""
+    @pytest.mark.parametrize("cpus, videos, started", [
+        (8, 4, [4]), (3, 4, [3]), (1, 4, []), (8, 1, [])],
+        ids=["videos", "cpus", "one_cpu", "one_video"])
+    def test_workers_capped_by_videos_and_cpus(self, monkeypatch, cpus,
+                                               videos, started):
+        """A huge ``jobs`` starts no more workers than there are videos
+        or usable CPUs, and no pool when that leaves one worker: a
+        one-video split is scored in this process however many queries
+        it has."""
         pools = _inline_pools(monkeypatch, cpus=cpus)
-        split = _split(queries=queries)
+        split = _split(queries=4, videos=videos)
         pooled = evaluate_datasets([split], 0.7, jobs=10**6)
         assert pools == started
         assert pooled == evaluate_datasets([split], 0.7, jobs=1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_query_scored_once(self, monkeypatch, jobs):
-        """Both paths score each query through ``evaluate_query``, once."""
-        _inline_pools(monkeypatch, cpus=2)
+        """Both paths score each query through ``evaluate_query``, once,
+        in canonical order; the pool's tasks are whole videos."""
+        pools = _inline_pools(monkeypatch, cpus=2)
         calls = []
         score = pipeline.evaluate_query
 
@@ -165,12 +189,62 @@ class TestWorkerPool:
             return score(video, query, predset)
 
         monkeypatch.setattr(pipeline, "evaluate_query", counting)
-        split = _split()
+        split = _split(videos=3)
         evaluate_datasets([split], 0.7, jobs=jobs)
+        assert pools == ([2] if jobs == 2 else [])
         assert calls == [(video_id, query.query_id)
                          for video_id, video in sorted(
                              split.bundle.videos.items())
                          for query in video.queries]
+
+    def test_one_task_per_video(self, monkeypatch):
+        """Each task sent to the pool is one video with its queries, in
+        canonical order."""
+        _inline_pools(monkeypatch, cpus=2)
+        tasks = []
+        evaluate_video = pipeline._evaluate_video
+
+        def recording(video, items):
+            tasks.append((video.video_id, [q.query_id for q, _ in items]))
+            return evaluate_video(video, items)
+
+        monkeypatch.setattr(pipeline, "_evaluate_video", recording)
+        splits = [_split("ovis", videos=2), _split("mot17", queries=3)]
+        evaluate_datasets(splits, 0.7, jobs=2)
+        assert tasks == [(video_id, [q.query_id for q in video.queries])
+                         for split in splits
+                         for video_id, video in sorted(
+                             split.bundle.videos.items())]
+
+    @pytest.mark.parametrize("method", _start_methods())
+    def test_real_pool_under_start_method(self, monkeypatch, method):
+        """Tasks and results pickle under every start method: a real
+        two-worker pool writes the report of one process."""
+        context = multiprocessing.get_context(method)
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers, mp_context=context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        splits = [_split("ovis", videos=2), _split("mot17")]
+        assert evaluate_datasets(splits, 0.7, jobs=2) == \
+            evaluate_datasets(splits, 0.7, jobs=1)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        """A ValidationError raised in a worker is raised to the caller
+        as that error, as with one worker, not as a broken pool."""
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        split = _split(videos=2)
+        referent = split.bundle.videos["video0002"].queries[0].referents[0]
+        # A referent without segments passes validate_split, but its
+        # temporal pair refuses it while the query is scored.
+        object.__setattr__(referent, "gt_segments", ())
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError,
+                               match="^gt_segments: must be non-empty$"):
+                evaluate_datasets([split], 0.7, jobs=jobs)
 
 
 def test_duplicate_winners_ignore_unmapped_referents():
@@ -178,6 +252,23 @@ def test_duplicate_winners_ignore_unmapped_referents():
     pairs = [TemporalPair("q", gid, segments, (), pid)
              for gid, pid in ((4, 5), (1, None), (3, None), (2, 5), (6, 7))]
     assert pipeline._duplicate_winners(pairs) == {5: [2, 4]}
+
+
+def test_usable_cpus_without_an_affinity_set(monkeypatch):
+    """Where the platform has no affinity set, the machine's CPU count is
+    used, and 1 when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, usable in ((6, 6), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _util.usable_cpus() == usable
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no affinity set on this platform")
+def test_usable_cpus_is_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _util.usable_cpus() == 2
 
 
 def test_import_loads_no_process_pool():
@@ -192,3 +283,16 @@ def test_import_loads_no_process_pool():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_synth():
+    """Neither ``import svageval`` nor the command line loads the synthetic
+    generator; only ``svageval synth`` imports it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(svageval.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, svageval, svageval.cli; "
+         "print('svageval.synth' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
