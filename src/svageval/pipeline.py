@@ -13,22 +13,23 @@ every split and refuses, with a ``ValueError`` listing them, any error
 diagnostic (a duplicate query id, an unresolved referent, a duplicate or
 orphan prediction set), so no such input is scored. ``evaluate_query``
 scores each (video, query) once, as a pure function over immutable inputs.
-The queries of all datasets share one worker pool of at most ``jobs``
-workers, and no more than there are videos or CPUs this process may run
-on; with one worker they are scored in this process. A worker's task is
-one video with all its queries, so each video is pickled once. Every
-reduction, the duplicate vote winners
-read from each query's temporal pairs included, happens in canonical
-(dataset, video_id, query position) order, so the report bytes and the log
-never depend on the worker count.
+Before anything is scored, the queries of all datasets become one list of
+tasks in canonical (dataset, video_id, query position) order: each task is
+one video that has queries, with all of them. ``_evaluate_video`` runs
+every task, in this process when there is one worker and otherwise in one
+pool of at most ``jobs`` workers, and no more than there are tasks or CPUs
+this process may run on; a pool receives each video once. The worker
+count decides only where a task runs. Every reduction, the duplicate vote
+winners read from each query's temporal pairs included, walks the same
+task list, so the report bytes and the log never depend on the worker
+count.
 """
 from __future__ import annotations
 
 import logging
-from itertools import islice
 
 from ._util import usable_cpus
-from .ingest import DatasetSplit, VideoGroundTruth, validate_split
+from .ingest import VideoGroundTruth, validate_split
 from .model import HotaComponents, PredictionSet, Query
 from .report import DatasetReport, FinalReport, build_final_report
 from .spatial import hota_sweep, mean_components, restrict_track
@@ -65,7 +66,7 @@ def evaluate_query(video: VideoGroundTruth, query: Query,
 def _evaluate_video(video: VideoGroundTruth, items
                     ) -> list[tuple[HotaComponents, list[TemporalPair]]]:
     """``evaluate_query`` over one video's (query, prediction set or
-    None) items, in order: the task of one pool worker."""
+    None) items, in order: one task, run here or in a pool worker."""
     return [evaluate_query(video, query, predset) for query, predset in items]
 
 
@@ -79,16 +80,6 @@ def _duplicate_winners(pairs) -> dict[int, list[int]]:
                 pair.gt_track_id)
     return {pid: sorted(gids) for pid, gids in by_pred.items()
             if len(gids) > 1}
-
-
-def _query_units(split: DatasetSplit):
-    """(video, query, prediction set or None) for every query of a
-    validated split, in canonical order."""
-    pred_index = {(p.video_id, p.query_id): p for p in split.predictions}
-    for video_id in sorted(split.bundle.videos):
-        video = split.bundle.videos[video_id]
-        for query in video.queries:
-            yield video, query, pred_index.get((video_id, query.query_id))
 
 
 def evaluate_datasets(splits, nms_threshold: float | None,
@@ -110,46 +101,48 @@ def evaluate_datasets(splits, nms_threshold: float | None,
     if errors:
         raise ValueError(f"{len(errors)} validation error(s):\n"
                          + "\n".join(str(diag) for diag in errors))
-    per_split = [list(_query_units(split)) for split in splits]
-    for split, units in zip(splits, per_split):
-        if not units:
+    tasks = []  # (dataset, video, [(query, predset or None), ...])
+    for split in splits:
+        pred_index = {(p.video_id, p.query_id): p for p in split.predictions}
+        split_tasks = [(split.name, video, [
+            (query, pred_index.get((video_id, query.query_id)))
+            for query in video.queries])
+            for video_id, video in sorted(split.bundle.videos.items())
+            if video.queries]
+        if not split_tasks:
             raise ValueError(f"dataset {split.name!r} has no queries")
-    units = [unit for split_units in per_split for unit in split_units]
-    for video, query, predset in units:
-        if predset is None:
-            log.warning("no predictions for %s/%s; query scores 0",
-                        video.video_id, query.query_id)
-    groups = []  # (video, [(query, predset), ...]) in canonical order
-    for video, query, predset in units:
-        if not groups or groups[-1][0] is not video:
-            groups.append((video, []))
-        groups[-1][1].append((query, predset))
-    workers = min(jobs, len(groups), usable_cpus())
+        tasks += split_tasks
+    for name, video, items in tasks:
+        for query, predset in items:
+            if predset is None:
+                log.warning("no predictions for %s/%s/%s; query scores 0",
+                            name, video.video_id, query.query_id)
+    _, videos, item_lists = zip(*tasks)
+    workers = min(jobs, len(tasks), usable_cpus())
     if workers > 1:
         # Imported here: it loads multiprocessing, which one worker, the
         # set-up probe and library users never need.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [result for video_results in pool.map(
-                _evaluate_video, *zip(*groups)) for result in video_results]
+            results = list(pool.map(_evaluate_video, videos, item_lists))
     else:
-        results = [evaluate_query(*unit) for unit in units]
-    results = iter(results)
-    reports = []
-    for split, split_units in zip(splits, per_split):
-        split_results = list(islice(results, len(split_units)))
-        for (video, query, _), (_, query_pairs) in zip(split_units,
-                                                       split_results):
+        results = list(map(_evaluate_video, videos, item_lists))
+    scored = {split.name: [] for split in splits}
+    for (name, video, items), video_results in zip(tasks, results):
+        for (query, _), (_, query_pairs) in zip(items, video_results):
             for pid, gids in sorted(_duplicate_winners(query_pairs).items()):
                 log.warning("%s/%s/%s: predicted id %d won the vote for GT "
-                            "ids %s", split.name, video.video_id,
-                            query.query_id, pid, gids)
+                            "ids %s", name, video.video_id, query.query_id,
+                            pid, gids)
+        scored[name] += video_results
+    reports = []
+    for name, split_results in scored.items():
         pairs = [p for _, query_pairs in split_results for p in query_pairs]
         reports.append(DatasetReport(
-            name=split.name,
+            name=name,
             spatial=mean_components([c for c, _ in split_results]),
             temporal=evaluate_temporal(pairs, nms_threshold),
-            query_count=len(split_units),
+            query_count=len(split_results),
             referent_count=len(pairs),
         ))
     return build_final_report(reports)

@@ -1,10 +1,12 @@
 """Acceptance suite: one test (and one printed pass/fail line) per release
 criterion. Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
+import concurrent.futures
 import contextlib
 import json
 import random
 
+from svageval import pipeline
 from svageval.cli import EXIT_OK, main
 from svageval.model import ScoredSegment, TemporalSegment
 from svageval.report import m_hiou
@@ -151,20 +153,36 @@ def test_criterion_7_per_alpha_identity():
                 assert abs(c.hota ** 2 - c.det_a * c.ass_a) <= 1e-9
 
 
-def test_criterion_8_worker_count_determinism(tmp_path):
+def test_criterion_8_worker_count_determinism(tmp_path, monkeypatch):
     with criterion(8, "--jobs 1 and --jobs 8 produce byte-identical reports"):
         data = tmp_path / "data"
-        assert main(["synth", "--out", str(data), "--seed", "8",
-                     "--queries", "8", "--box-jitter", "1.0",
-                     "--id-switch-prob", "0.2", "--drop-prob", "0.1",
-                     "--segment-noise", "2", "--distractors", "2"]) == EXIT_OK
+        for dataset, seed in (("ovis", "8"), ("mot17", "9")):
+            assert main(["synth", "--out", str(data), "--dataset", dataset,
+                         "--seed", seed, "--queries", "8",
+                         "--box-jitter", "1.0", "--id-switch-prob", "0.2",
+                         "--drop-prob", "0.1", "--segment-noise", "2",
+                         "--distractors", "2"]) == EXIT_OK
+        pools = []
+
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        # Two videos and two usable CPUs: --jobs 8 scores through a pool
+        # of two workers on any machine.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SpyPool)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
         outs = []
         for jobs in ("1", "8"):
             out = tmp_path / f"report-{jobs}.json"
             assert main(["evaluate", "--gt", str(data / "gt"),
-                         "--pred", str(data / "pred"), "--datasets", "ovis",
+                         "--pred", str(data / "pred"),
+                         "--datasets", "ovis,mot17",
                          "--out", str(out), "--jobs", jobs]) == EXIT_OK
             outs.append(out.read_bytes())
+        assert pools == [2]
         assert outs[0] == outs[1]
 
 

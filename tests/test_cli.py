@@ -374,13 +374,18 @@ class TestWarningsOnce:
 
 class TestDuplicateWinners:
     def test_named_per_query_and_same_at_any_job_count(self, tmp_path):
-        """A predicted id that wins the vote of two referents is logged by
-        the parent, naming its dataset, video and query, so stderr does
-        not depend on the worker count."""
+        """A predicted id that wins the vote of two referents, and a query
+        without predictions, are logged by the parent, naming their
+        dataset, video and query, so stderr does not depend on the worker
+        count. With two videos, --jobs 2 scores through a pool wherever
+        two CPUs are usable."""
         data = tmp_path / "data"
-        assert main(["synth", "--out", str(data), "--seed", "3",
-                     "--queries", "6", "--id-switch-prob", "0.2",
-                     "--box-jitter", "1.5"]) == EXIT_OK
+        for dataset, seed in (("ovis", "3"), ("mot17", "8")):
+            assert main(["synth", "--out", str(data), "--dataset", dataset,
+                         "--seed", seed, "--queries", "6",
+                         "--id-switch-prob", "0.2",
+                         "--box-jitter", "1.5"]) == EXIT_OK
+        shutil.rmtree(data / "pred" / "ovis" / "video0001" / "q003")
         env = {**os.environ, "SVAGEVAL_LOG": "warn",
                "PYTHONPATH": str(Path(svageval.__file__).parents[1])}
         stderr = []
@@ -388,18 +393,20 @@ class TestDuplicateWinners:
             proc = subprocess.run(
                 [sys.executable, "-m", "svageval.cli", "evaluate",
                  "--gt", str(data / "gt"), "--pred", str(data / "pred"),
-                 "--datasets", "ovis", "--out", str(tmp_path / "r.json"),
+                 "--datasets", "ovis,mot17", "--out", str(tmp_path / "r.json"),
                  "--jobs", jobs],
                 capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == EXIT_OK
             stderr.append(proc.stderr)
-        assert ("ovis/video0001/q001: predicted id 3 won the vote for GT "
-                "ids [2, 3]\n") in stderr[0]
-        lines = [line for line in stderr[0].splitlines() if "won the vote"
-                 in line]
-        assert len(lines) == 2
-        assert all(": predicted id " in line and "ovis/video0001/q0" in line
-                   for line in lines)
+        prefix = "WARNING svageval.pipeline: "
+        assert stderr[0] == "".join(prefix + line + "\n" for line in (
+            "no predictions for ovis/video0001/q003; query scores 0",
+            "ovis/video0001/q001: predicted id 3 won the vote for GT ids "
+            "[2, 3]",
+            "ovis/video0001/q006: predicted id 2 won the vote for GT ids "
+            "[1, 3]",
+            "mot17/video0001/q002: predicted id 2 won the vote for GT ids "
+            "[2, 3]"))
         assert stderr[0] == stderr[1]
 
 

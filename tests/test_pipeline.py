@@ -153,6 +153,27 @@ def _inline_pools(monkeypatch, cpus):
     return pools
 
 
+def _record_tasks(monkeypatch):
+    """Record each task ``_evaluate_video`` runs as (video_id, query ids);
+    the task still runs."""
+    tasks = []
+    evaluate_video = pipeline._evaluate_video
+
+    def recording(video, items):
+        tasks.append((video.video_id, [q.query_id for q, _ in items]))
+        return evaluate_video(video, items)
+
+    monkeypatch.setattr(pipeline, "_evaluate_video", recording)
+    return tasks
+
+
+def _add_video_without_queries(split):
+    """Add ``video0099``, with the tracks of ``video0001`` and no queries."""
+    tracks = split.bundle.videos["video0001"].tracks
+    split.bundle.videos["video0099"] = VideoGroundTruth("video0099", tracks,
+                                                        [])
+
+
 def _start_methods():
     return [pytest.param(method, marks=pytest.mark.skipif(
         method not in multiprocessing.get_all_start_methods(),
@@ -197,24 +218,30 @@ class TestWorkerPool:
                              split.bundle.videos.items())
                          for query in video.queries]
 
-    def test_one_task_per_video(self, monkeypatch):
-        """Each task sent to the pool is one video with its queries, in
-        canonical order."""
-        _inline_pools(monkeypatch, cpus=2)
-        tasks = []
-        evaluate_video = pipeline._evaluate_video
-
-        def recording(video, items):
-            tasks.append((video.video_id, [q.query_id for q, _ in items]))
-            return evaluate_video(video, items)
-
-        monkeypatch.setattr(pipeline, "_evaluate_video", recording)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_task_per_video(self, monkeypatch, jobs):
+        """Either worker count runs the same tasks: one per video with
+        queries, holding all of them, in canonical order."""
+        pools = _inline_pools(monkeypatch, cpus=2)
+        tasks = _record_tasks(monkeypatch)
         splits = [_split("ovis", videos=2), _split("mot17", queries=3)]
-        evaluate_datasets(splits, 0.7, jobs=2)
-        assert tasks == [(video_id, [q.query_id for q in video.queries])
-                         for split in splits
-                         for video_id, video in sorted(
-                             split.bundle.videos.items())]
+        _add_video_without_queries(splits[0])
+        evaluate_datasets(splits, 0.7, jobs=jobs)
+        assert pools == ([2] if jobs == 2 else [])
+        assert tasks == [("video0001", ["q001", "q002", "q003", "q004"]),
+                         ("video0002", ["q001", "q002", "q003", "q004"]),
+                         ("video0001", ["q001", "q002", "q003"])]
+
+    def test_video_without_queries_gets_no_worker(self, monkeypatch):
+        """A video without queries is no task, so it does not raise the
+        worker count: with one other video, no pool starts."""
+        pools = _inline_pools(monkeypatch, cpus=8)
+        tasks = _record_tasks(monkeypatch)
+        split = _split()
+        _add_video_without_queries(split)
+        evaluate_datasets([split], 0.7, jobs=8)
+        assert pools == []
+        assert tasks == [("video0001", ["q001", "q002", "q003", "q004"])]
 
     @pytest.mark.parametrize("method", _start_methods())
     def test_real_pool_under_start_method(self, monkeypatch, method):
